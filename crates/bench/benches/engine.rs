@@ -1,5 +1,5 @@
 //! Engine scaling bench: the shared round engine against the pre-refactor
-//! reference loop, across schedulers and thread counts.
+//! reference loop, across thread counts.
 //!
 //! Produces `BENCH_engine.json` at the repo root (median wall-clock and
 //! rounds/second per target). Every engine leg is asserted byte-identical
@@ -14,7 +14,7 @@ use kdom_bench::harness::{
 };
 use kdom_bench::{criterion_group, criterion_main};
 use kdom_congest::engine::run_reference_loop;
-use kdom_congest::{CodecScratch, EngineConfig, Scheduling, Simulator};
+use kdom_congest::{CodecScratch, EngineConfig, Simulator};
 use kdom_core::dist::bfs::BfsNode;
 use kdom_core::dist::fragments::{FrMsg, FragmentNode};
 use kdom_graph::generators::Family;
@@ -31,15 +31,14 @@ fn mst_nodes(g: &Graph, k: usize) -> Vec<FragmentNode> {
 /// engine default, so the long-standing leg names (`active-set-1t`, …)
 /// pin it **off** to keep measuring what they always measured; the
 /// explicit `-wire-exact` legs measure the codec on top.
-fn engine_cfg(sched: Scheduling, threads: usize) -> EngineConfig {
+fn engine_cfg(threads: usize) -> EngineConfig {
     EngineConfig::default()
-        .with_scheduling(sched)
         .with_threads(threads)
         .with_wire_exact(false)
 }
 
 /// BFS on a 2000-node path: diameter-bound rounds where only the frontier
-/// does work — the showcase for active-set scheduling (the full scan
+/// does work — the showcase for active-set scheduling (the legacy loop
 /// burns `n` automaton steps per round on idle nodes).
 fn bench_bfs_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine/bfs_path2000");
@@ -52,8 +51,7 @@ fn bench_bfs_path(c: &mut Criterion) {
     let want = format!("{ref_nodes:?}{ref_report:?}");
     let legs = [
         ("legacy-loop", None),
-        ("full-scan-1t", Some(engine_cfg(Scheduling::FullScan, 1))),
-        ("active-set-1t", Some(engine_cfg(Scheduling::ActiveSet, 1))),
+        ("active-set-1t", Some(engine_cfg(1))),
     ];
     for (leg, cfg) in legs {
         if let Some(cfg) = cfg {
@@ -94,16 +92,15 @@ fn bench_simple_mst(c: &mut Criterion) {
     let want = format!("{ref_nodes:?}{ref_report:?}");
     let legs = [
         ("legacy-loop", None),
-        ("full-scan-1t", Some(engine_cfg(Scheduling::FullScan, 1))),
-        ("active-set-1t", Some(engine_cfg(Scheduling::ActiveSet, 1))),
-        ("active-set-4t", Some(engine_cfg(Scheduling::ActiveSet, 4))),
+        ("active-set-1t", Some(engine_cfg(1))),
+        ("active-set-4t", Some(engine_cfg(4))),
         // codec-overhead probe: every message round-trips through the
         // branchless codec via the per-worker scratch. This is the leg
         // the wire-exact-by-default decision rests on: it must stay
         // within a small factor of `active-set-1t` on the same run.
         (
             "active-set-1t-wire-exact",
-            Some(engine_cfg(Scheduling::ActiveSet, 1).with_wire_exact(true)),
+            Some(engine_cfg(1).with_wire_exact(true)),
         ),
     ];
     for (leg, cfg) in legs {
@@ -170,7 +167,6 @@ fn profile_round_walltime(_c: &mut Criterion) {
         &graph,
         mst_nodes(&graph, k),
         EngineConfig::default()
-            .with_scheduling(Scheduling::ActiveSet)
             .with_threads(1)
             .with_codec_profile(true),
     );
@@ -212,25 +208,19 @@ fn profile_round_walltime(_c: &mut Criterion) {
 }
 
 /// The full Fast-MST composition on a ~1600-node grid; the composed
-/// runners read `KDOM_THREADS`/`KDOM_SCHED` from the environment, so the
-/// legs are driven through env vars (the bench harness is one thread, so
-/// the mutation is race-free). `KDOM_WIRE` is left unset, so these legs
-/// run wire-exact — the engine default — and are tagged as such.
+/// runners read `KDOM_THREADS` from the environment, so the legs are
+/// driven through env vars (the bench harness is one thread, so the
+/// mutation is race-free). `KDOM_WIRE` is left unset, so these legs run
+/// wire-exact — the engine default — and are tagged as such.
 fn bench_fast_mst(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine/fast_mst_grid1600");
     let graph = Family::Grid.generate(1600, 11);
 
-    std::env::remove_var("KDOM_SCHED");
     std::env::remove_var("KDOM_THREADS");
     std::env::remove_var("KDOM_WIRE");
     let want = fast_mst(&graph);
-    for (leg, threads, sched) in [
-        ("full-scan-1t", "1", "full"),
-        ("active-set-1t", "1", "active"),
-        ("active-set-4t", "4", "active"),
-    ] {
+    for (leg, threads) in [("active-set-1t", "1"), ("active-set-4t", "4")] {
         std::env::set_var("KDOM_THREADS", threads);
-        std::env::set_var("KDOM_SCHED", sched);
         let got = fast_mst(&graph);
         assert_eq!(
             format!("{want:?}"),
@@ -247,7 +237,6 @@ fn bench_fast_mst(c: &mut Criterion) {
         note_rounds(&row, want.total_rounds());
         note_mode(&row, "wire-exact");
     }
-    std::env::remove_var("KDOM_SCHED");
     std::env::remove_var("KDOM_THREADS");
     g.finish();
 }

@@ -1025,7 +1025,7 @@ pub fn e20(quick: bool) -> Table {
 /// gate's committed baseline, owned by the engine bench).
 pub fn e21(quick: bool) -> Table {
     use kdom_congest::engine::run_reference_loop;
-    use kdom_congest::{EngineConfig, Scheduling, Simulator};
+    use kdom_congest::{EngineConfig, Simulator};
     use kdom_core::dist::bfs::BfsNode;
     use kdom_core::dist::fragments::FragmentNode;
     use std::time::Instant;
@@ -1038,7 +1038,6 @@ pub fn e21(quick: bool) -> Table {
             "rounds",
             "identical",
             "legacy",
-            "full-scan",
             "active-set",
             "act-4t",
             "best speedup",
@@ -1057,11 +1056,7 @@ pub fn e21(quick: bool) -> Table {
         xs[xs.len() / 2]
     };
     let ms = |s: f64| format!("{:.1} ms", s * 1e3);
-    let cfg = |sched, threads| {
-        EngineConfig::default()
-            .with_scheduling(sched)
-            .with_threads(threads)
-    };
+    let cfg = |threads| EngineConfig::default().with_threads(threads);
 
     let bfs_n = if quick { 400 } else { 2000 };
     let grid_n = if quick { 400 } else { 2500 };
@@ -1104,18 +1099,15 @@ pub fn e21(quick: bool) -> Table {
                 // leg is skipped on undersubscribed machines so it never
                 // produces a baseline row
                 let bench4 = crate::harness::can_bench_threads(4);
-                check(cfg(Scheduling::FullScan, 1));
-                check(cfg(Scheduling::ActiveSet, 1));
-                check(cfg(Scheduling::ActiveSet, 4));
-                let full = timed(cfg(Scheduling::FullScan, 1));
-                let active = timed(cfg(Scheduling::ActiveSet, 1));
-                let act4 = bench4.then(|| timed(cfg(Scheduling::ActiveSet, 4)));
+                check(cfg(1));
+                check(cfg(4));
+                let active = timed(cfg(1));
+                let act4 = bench4.then(|| timed(cfg(4)));
                 let legacy = median(&mut || {
                     let _ = std::hint::black_box(run_reference_loop(g, make(), 1_000_000));
                 });
                 for (leg, secs) in [
                     ("legacy-loop", Some(legacy)),
-                    ("full-scan-1t", Some(full)),
                     ("active-set-1t", Some(active)),
                     ("active-set-4t", act4),
                 ] {
@@ -1125,15 +1117,13 @@ pub fn e21(quick: bool) -> Table {
                     crate::harness::note_rounds(&name, ref_report.rounds);
                 }
                 let ok = t.check(identical).to_string();
-                let denom = act4.map_or(full.min(active), |a| full.min(active).min(a));
-                let best = legacy / denom;
+                let best = legacy / act4.map_or(active, |a| active.min(a));
                 t.row(vec![
                     label.to_string(),
                     g.node_count().to_string(),
                     ref_report.rounds.to_string(),
                     ok,
                     ms(legacy),
-                    ms(full),
                     ms(active),
                     act4.map(ms).unwrap_or_else(|| "skip".to_string()),
                     format!("{best:.2}x"),

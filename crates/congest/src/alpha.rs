@@ -62,7 +62,7 @@ use std::collections::{HashMap, HashSet};
 use kdom_graph::graph::{Graph, NodeId};
 use kdom_rng::StdRng;
 
-use crate::engine::{self, reverse_port_table};
+use crate::engine;
 use crate::events::EventQueue;
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::reliable::{LinkState, ReliableConfig, RetxDecision};
@@ -298,8 +298,6 @@ pub struct AlphaSimulator<'g, P: Protocol> {
     report: AlphaReport,
     /// Application ids, hoisted out of the per-pulse hot path.
     ids: Vec<u64>,
-    /// `rev_port[v][p]`: port of edge `(v, p)` at its other endpoint.
-    rev_port: Vec<Vec<Option<Port>>>,
     injector: Option<FaultInjector>,
     arq: Option<ReliableConfig>,
     /// ARQ endpoint state per `(node, port)` (reliable mode only).
@@ -356,7 +354,6 @@ impl<'g, P: Protocol> AlphaSimulator<'g, P> {
             })
             .collect();
         let ids = (0..n).map(|v| graph.id_of(NodeId(v))).collect();
-        let rev_port = reverse_port_table(graph);
         let links = (0..n)
             .map(|v| {
                 (0..graph.degree(NodeId(v)))
@@ -375,7 +372,6 @@ impl<'g, P: Protocol> AlphaSimulator<'g, P> {
             max_delay,
             report: AlphaReport::default(),
             ids,
-            rev_port,
             injector: None,
             arq: None,
             links,
@@ -479,8 +475,7 @@ impl<'g, P: Protocol> AlphaSimulator<'g, P> {
     fn physical_send(&mut self, now: u64, from: usize, port: Port, frame: Frame<P::Msg>) {
         let arc = self.graph.neighbors(NodeId(from))[port.0];
         let to = arc.to.0;
-        // validated in run(); BrokenTopology is reported there
-        let back = self.rev_port[from][port.0].expect("validated topology");
+        let back = Port(self.graph.twin_port(NodeId(from), port.0));
         let pkt = self.packetize(frame);
         match self.injector.as_mut() {
             None => {
@@ -551,7 +546,7 @@ impl<'g, P: Protocol> AlphaSimulator<'g, P> {
     fn broadcast_down(&mut self, now: u64, v: usize) {
         for p in 0..self.graph.degree(NodeId(v)) {
             let arc = self.graph.neighbors(NodeId(v))[p];
-            let back = self.rev_port[v][p].expect("validated topology");
+            let back = Port(self.graph.twin_port(NodeId(v), p));
             let pkt = self.packetize(Frame::Down);
             self.enqueue(
                 now + 1,
@@ -833,19 +828,8 @@ impl<'g, P: Protocol> AlphaSimulator<'g, P> {
     ///   quiescence (lost messages with no recovery layer);
     /// - [`SimError::DeliveryExhausted`] if the ARQ layer gives up a link;
     /// - [`SimError::CongestViolation`] if a node double-sent on a port
-    ///   (matching the synchronous executor's watchdog);
-    /// - [`SimError::BrokenTopology`] on an asymmetric adjacency list.
+    ///   (matching the synchronous executor's watchdog).
     pub fn run(&mut self, max_pulses: u64) -> Result<AlphaReport, SimError> {
-        for v in 0..self.nodes.len() {
-            for (p, rp) in self.rev_port[v].iter().enumerate() {
-                if rp.is_none() {
-                    return Err(SimError::BrokenTopology {
-                        node: NodeId(v),
-                        port: Port(p),
-                    });
-                }
-            }
-        }
         if let Some(t) = self.trace.as_mut() {
             t.event(&TraceEvent::RunStart {
                 mode: if self.arq.is_some() {

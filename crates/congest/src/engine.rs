@@ -1,45 +1,18 @@
-//! The shared round engine behind both executors.
+//! The in-process compute backend of the synchronous round.
 //!
-//! [`Simulator`](crate::Simulator) (synchronous lockstep) and
-//! [`AlphaSimulator`](crate::AlphaSimulator) (synchronizer α) used to carry
-//! their own copies of the round machinery — context construction, outbox
-//! handling, reverse-port delivery. This module owns that machinery once,
-//! rebuilt around four ideas:
+//! The crate's round core (`RoundCore`) owns the round itself — arena,
+//! schedule, sequential merge, fast-forward, accounting, the run loop —
+//! once for every synchronous executor. `RoundEngine` is its in-process
+//! backend: it owns the automata and computes each round's active nodes,
+//! built around two ideas:
 //!
-//! 1. **Wake-driven active sets.** Instead of scanning all `n` automata
-//!    every round, the engine steps only nodes that received a message,
-//!    declared [`Wake::EveryRound`], or whose [`Wake::At`] timer is due.
-//!    This relies on the [`Protocol`] contract ([`Protocol::next_wake`]):
-//!    between its declared wakes, a node with an empty inbox does nothing.
-//!    When the active fraction exceeds [`EngineConfig::dense_pct`] the
-//!    scheduler falls back to a dense `0..n` scan — cheaper than merging
-//!    near-full lists. [`Scheduling::FullScan`] restores the historical
-//!    scan-everything behaviour; all schedules produce byte-identical runs
-//!    for contract-abiding protocols.
+//! 1. **Packed staging.** Sends are staged as packed `u64` metadata
+//!    words (`sender | port | size_bits`) alongside a message slab, so
+//!    the merge reads `size_bits` as a field and replays indices, not
+//!    messages. `Outbox` slabs are pooled per worker; steady-state rounds
+//!    allocate nothing.
 //!
-//! 2. **Quiescence fast-forward.** The engine tracks in-flight message
-//!    copies, ticking nodes, timer wakes (a lazily-invalidated
-//!    [`TimerHeap`] from the shared [`events`](crate::events) core),
-//!    and the fault plan's crash schedule. When no message is queued and
-//!    no node ticks, every round up to the next timer/crash event is
-//!    provably empty — [`RoundEngine::fast_forward`] advances the round
-//!    counter there in O(1). An empty round touches nothing but the
-//!    counter, so all [`RunReport`]/`StallReport` fields stay
-//!    byte-identical to the unskipped execution. (The α executor needs no
-//!    analogue: it is event-driven, so its virtual clock already jumps to
-//!    the next delivery.)
-//!
-//! 3. **A flat double-buffered message arena with packed staging.**
-//!    Inboxes are CSR-style slots indexed by `(node, port)` — one
-//!    `Option<(msg, copies)>` per edge direction, where `copies` refcounts
-//!    fault-injected duplicates of the same CONGEST message instead of
-//!    deep-cloning them. Sends are staged as packed `u64` metadata words
-//!    (`sender | port | size_bits`) alongside a message slab, so the
-//!    sequential merge reads `size_bits` as a field and replays indices,
-//!    not messages. `Outbox` slabs are pooled per worker; steady-state
-//!    rounds allocate nothing.
-//!
-//! 4. **A deterministically parallel compute *and merge* phase.** With
+//! 2. **A deterministically parallel compute *and merge* phase.** With
 //!    [`EngineConfig::threads`] > 1 the active list is split into
 //!    contiguous node shards and executed under [`std::thread::scope`] —
 //!    but only when each shard gets at least [`EngineConfig::shard_min`]
@@ -52,32 +25,27 @@
 //!    another worker's arena slice, every `(receiver, port)` slot has
 //!    exactly one writer, and all counters are order-independent sums, so
 //!    a parallel run is **byte-identical** to a single-threaded one: same
-//!    outputs, same [`RunReport`]. (The old design funnelled every round
-//!    through a single sequential merge on the caller's thread, which is
-//!    why `active-set-4t` used to *lose* to 1t: the merge serialised the
-//!    per-message work that dominates dense rounds.) When a fault
-//!    injector or a trace sink needs globally ordered per-message
-//!    effects — the RNG stream, `send` events — the engine falls back to
-//!    that sequential merge, which replays staged sends in ascending
-//!    node order, the exact order the single-threaded loop produces, so
-//!    traced and fault-injected runs remain byte-identical across thread
-//!    counts too. Wire-exact mode (the default) rides the bucketed merge:
-//!    each worker round-trips its own staged frames through a reused
-//!    [`CodecScratch`](crate::wire::CodecScratch) at staging time —
-//!    verification is per-message-local, so it needs no global order —
-//!    and stages the *decoded* message. After an error
-//!    ([`SimError::CongestViolation`] / [`SimError::BrokenTopology`] /
+//!    outputs, same [`RunReport`]. When a fault
+//!    injector or a trace sink needs globally ordered per-message effects
+//!    — the RNG stream, `send` events — the engine falls back to the
+//!    core's sequential merge, replaying staged sends in ascending node
+//!    order, so traced and fault-injected runs remain byte-identical
+//!    across thread counts too. Wire-exact mode (the default) rides the
+//!    bucketed merge: each worker round-trips its own staged frames
+//!    through a reused [`CodecScratch`] at staging time — verification is
+//!    per-message-local, so it needs no global order — and stages the
+//!    *decoded* message. After an error ([`SimError::CongestViolation`] /
 //!    [`SimError::WireMismatch`]) the reported counters still match the
-//!    sequential run (the bucketed path detects all three conditions
-//!    during compute and re-sorts the buckets to replay the sequential
-//!    cut-off exactly), but node automata beyond the failing node are in
-//!    an unspecified state (they may have executed the failing round);
+//!    sequential run (the bucketed path detects both conditions during
+//!    compute and re-sorts the buckets to replay the sequential cut-off
+//!    exactly), but node automata beyond the failing node are in an
+//!    unspecified state (they may have executed the failing round);
 //!    errors abort the run, so no caller observes that state through the
 //!    public API.
 //!
 //! Configuration comes from [`EngineConfig`], which the convenience
-//! runners fill from the environment: `KDOM_THREADS`, `KDOM_SCHED`,
-//! `KDOM_FASTFWD`, `KDOM_DENSE_PCT`, and `KDOM_SHARD_MIN`.
+//! runners fill from the environment: `KDOM_THREADS`, `KDOM_FASTFWD`,
+//! `KDOM_DENSE_PCT`, `KDOM_SHARD_MIN`, and `KDOM_WIRE`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -85,14 +53,13 @@ use std::time::Instant;
 
 use kdom_graph::graph::{Graph, NodeId};
 
-use crate::events::TimerHeap;
 use crate::faults::{apply_churn, ChurnError, ChurnRemap, FaultInjector, FaultPlan};
 use crate::report::RunReport;
-use crate::sim::{Message, NodeCtx, Outbox, Port, Protocol, SimError, StallReport, Wake};
-use crate::trace::{TraceEvent, TraceSink};
+use crate::round::{fixed_memory, staged_bytes, NodeOutcome, RoundBackend, RoundCore, Slot};
+use crate::sim::{Message, NodeCtx, Outbox, Port, Protocol, SimError, StallReport};
 use crate::wire::CodecScratch;
 
-/// Execution knobs of the round engine: worker threads, scheduling,
+/// Execution knobs of the synchronous executor: worker threads,
 /// fast-forward, and the adaptive thresholds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -100,17 +67,15 @@ pub struct EngineConfig {
     /// on the calling thread (no spawns); higher values shard the active
     /// set. Results are byte-identical either way.
     pub threads: usize,
-    /// Which nodes are stepped each round.
-    pub scheduling: Scheduling,
-    /// Skip provably-empty rounds in O(1) (see [`RoundEngine::fast_forward`]).
-    /// On by default; `KDOM_FASTFWD=0` disables it. No effect under
-    /// [`Scheduling::FullScan`], which promises to step every node every
-    /// round.
+    /// Skip provably-empty rounds in O(1) (see
+    /// [`Simulator::fast_forward`](crate::Simulator::fast_forward)).
+    /// On by default; `KDOM_FASTFWD=0` disables it.
     pub fast_forward: bool,
-    /// Active-fraction percentage at which [`Scheduling::ActiveSet`] falls
-    /// back to a dense `0..n` scan instead of merging near-full lists.
-    /// `0` forces the dense scan every round; values above 300 can never
-    /// trigger (the merged estimate counts each node at most thrice).
+    /// Active-fraction percentage at which the scheduler falls back to a
+    /// dense `0..n` scan instead of merging near-full lists. `0` forces
+    /// the dense scan every round (with `fast_forward` off, every node
+    /// is then stepped every round); values above 300 can never trigger
+    /// (the merged estimate counts each node at most thrice).
     pub dense_pct: usize,
     /// Minimum active nodes per worker shard before the compute phase
     /// splits across threads; below `threads * shard_min` active nodes
@@ -131,9 +96,10 @@ pub struct EngineConfig {
     pub wire_exact: bool,
     /// Accumulate wall-clock spent in the wire codec (wire-exact mode's
     /// per-send encode+decode transcodes), readable via
-    /// [`RoundEngine::codec_stats`]. Off by default — the hot path then
-    /// carries no timer calls. Never part of [`RunReport`], so reports
-    /// stay byte-identical whether or not profiling ran.
+    /// [`Simulator::codec_stats`](crate::Simulator::codec_stats). Off by
+    /// default — the hot path then carries no timer calls. Never part of
+    /// [`RunReport`], so reports stay byte-identical whether or not
+    /// profiling ran.
     pub codec_profile: bool,
 }
 
@@ -141,7 +107,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: 1,
-            scheduling: Scheduling::ActiveSet,
             fast_forward: true,
             dense_pct: 75,
             shard_min: 1024,
@@ -156,9 +121,6 @@ impl EngineConfig {
     /// Reads the configuration from the environment:
     ///
     /// - `KDOM_THREADS`: worker count in `1..=256`;
-    /// - `KDOM_SCHED`: `full`/`full-scan`/`fullscan` for
-    ///   [`Scheduling::FullScan`], `active`/`active-set`/`activeset` for
-    ///   [`Scheduling::ActiveSet`] (the default when unset);
     /// - `KDOM_FASTFWD`: `0`/`off`/`false`/`no` disables fast-forward,
     ///   `1`/`on`/`true`/`yes` keeps it on (the default when unset);
     /// - `KDOM_DENSE_PCT`: dense-scan fallback threshold in `0..=300`
@@ -186,17 +148,6 @@ impl EngineConfig {
                 Err("worker count must be in 1..=256".into())
             }
         });
-        let scheduling = knob_enum(
-            "KDOM_SCHED",
-            Scheduling::ActiveSet,
-            &[
-                (&["full", "full-scan", "fullscan"], Scheduling::FullScan),
-                (
-                    &["active", "active-set", "activeset"],
-                    Scheduling::ActiveSet,
-                ),
-            ],
-        );
         let fast_forward = knob_enum(
             "KDOM_FASTFWD",
             true,
@@ -229,7 +180,6 @@ impl EngineConfig {
         );
         EngineConfig {
             threads,
-            scheduling,
             fast_forward,
             dense_pct,
             shard_min,
@@ -242,12 +192,6 @@ impl EngineConfig {
     /// Returns the config with the worker count replaced.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Returns the config with the scheduling policy replaced.
-    pub fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.scheduling = scheduling;
         self
     }
 
@@ -288,45 +232,13 @@ impl EngineConfig {
     }
 }
 
-/// Node-scheduling policy of the engine.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Scheduling {
-    /// Step every automaton every round (the historical behaviour).
-    FullScan,
-    /// Step only automata that received a message or whose declared
-    /// [`Wake`] is due, with a dense-scan fallback above
-    /// [`EngineConfig::dense_pct`].
-    #[default]
-    ActiveSet,
-}
-
-/// Precomputes, for every `(node, port)`, the port the same edge occupies
-/// at the other endpoint (`None` marks a corrupted, asymmetric topology).
-pub(crate) fn reverse_port_table(graph: &Graph) -> Vec<Vec<Option<Port>>> {
-    (0..graph.node_count())
-        .map(|v| {
-            graph
-                .neighbors(NodeId(v))
-                .iter()
-                .map(|arc| {
-                    graph
-                        .neighbors(arc.to)
-                        .iter()
-                        .position(|a| a.edge == arc.edge)
-                        .map(Port)
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// Runs one synchronous protocol round for node `v`: builds the context,
 /// recycles `outbox_buf` into a fresh [`Outbox`], executes
 /// [`Protocol::round`], and leaves the sends in `outbox_buf` (one
 /// optional message per port). Returns the port of the first CONGEST
 /// violation, if the node double-sent.
 ///
-/// Both executors call this — it is the single place a protocol's round
+/// Every executor calls this — it is the single place a protocol's round
 /// function runs.
 pub(crate) fn execute_node_round<P: Protocol>(
     graph: &Graph,
@@ -359,11 +271,6 @@ pub(crate) fn fan_out<T: Clone, E>(tags: Vec<E>, item: T, mut deliver: impl FnMu
         deliver(tag, it);
     }
 }
-
-/// One arena slot: the message queued on an edge direction plus the
-/// number of identical copies the fault injector delivered — duplicates
-/// are refcounted here, not deep-cloned.
-type Slot<M> = Option<(M, u32)>;
 
 /// Width of the packed `size_bits` field in a staged-send metadata word.
 /// The maximum value doubles as a "recompute at merge" sentinel for the
@@ -401,21 +308,27 @@ impl<M> Exchange<M> {
     }
 }
 
-/// What a stepped node needs next, recorded by the compute phase and
-/// applied to the schedule by the sequential merge.
-#[derive(Clone, Copy, Debug)]
-enum NodeOutcome {
-    /// Crashed: never scheduled by timer again (arrivals still reach it,
-    /// and are lost there).
-    Crashed,
-    /// `is_done()`: unscheduled until a message arrives.
-    Done,
-    /// Not done and ticking: step it next round.
-    Tick,
-    /// Not done, acts only on messages.
-    Sleep,
-    /// Not done, timer-armed for the given future round (> now + 1).
-    Park(u64),
+/// Reused wire-codec buffers plus the wall-clock spent in them (only
+/// accumulated under [`EngineConfig::codec_profile`]).
+#[derive(Default)]
+struct Codec {
+    scratch: CodecScratch,
+    ns: u64,
+    msgs: u64,
+}
+
+impl Codec {
+    /// Runs one codec call on the scratch buffers, timed when `profile`.
+    #[inline]
+    fn timed<T>(&mut self, profile: bool, f: impl FnOnce(&mut CodecScratch) -> T) -> T {
+        let t0 = profile.then(Instant::now);
+        let out = f(&mut self.scratch);
+        if let Some(t0) = t0 {
+            self.ns += t0.elapsed().as_nanos() as u64;
+            self.msgs += 1;
+        }
+        out
+    }
 }
 
 /// Per-worker reusable state: the materialised inbox, the pooled outbox
@@ -451,24 +364,13 @@ struct WorkerScratch<M> {
     sent_bits: u64,
     /// Bucketed mode: widest message this shard staged, in bits.
     max_bits: u64,
-    /// Bucketed mode: copies this worker delivered into its range.
-    delivered: u64,
-    /// Bucketed mode: first asymmetric-topology send in this shard, by
-    /// node order (checked during compute so delivery can't index with
-    /// a missing reverse port).
-    broken: Option<(u32, Port)>,
-    /// Reused wire-codec buffers for wire-exact round trips; staging
-    /// allocates nothing per frame.
-    codec: CodecScratch,
+    /// Codec buffers for wire-exact round trips; staging allocates
+    /// nothing per frame.
+    codec: Codec,
     /// Bucketed wire-exact: a round trip failed in this shard. The
     /// sequential fallback replays every frame in global order so the
     /// mismatch surfaces at its exact sequential position.
     wire_bad: bool,
-    /// Nanoseconds this shard spent in codec round trips (only
-    /// accumulated under [`EngineConfig::codec_profile`]).
-    codec_ns: u64,
-    /// Round trips this shard performed (only under profiling).
-    codec_msgs: u64,
 }
 
 impl<M> Default for WorkerScratch<M> {
@@ -487,12 +389,8 @@ impl<M> Default for WorkerScratch<M> {
             sent_msgs: 0,
             sent_bits: 0,
             max_bits: 0,
-            delivered: 0,
-            broken: None,
-            codec: CodecScratch::new(),
+            codec: Codec::default(),
             wire_bad: false,
-            codec_ns: 0,
-            codec_msgs: 0,
         }
     }
 }
@@ -500,51 +398,38 @@ impl<M> Default for WorkerScratch<M> {
 /// Executes the active nodes of one contiguous shard. `nodes` and
 /// `slots` are the shard's windows into the automata array and the
 /// inbox arena; `node_base`/`slot_base` translate global indices into
-/// them. Purely local: all cross-node effects are staged in `scratch`.
+/// them. Purely local: all cross-node effects are staged in `scratch`,
+/// and crashed nodes consume their queued arrivals as losses.
 ///
-/// With `track_wakes` false (full-scan, which steps everyone anyway)
-/// the per-node [`Protocol::next_wake`] query is skipped and `sched`
-/// records only done-status *transitions* against the read-only
-/// `done_flag` snapshot, keeping the sequential schedule merge O(changes)
-/// instead of O(active).
-/// With `bucketed` true (the destination-sharded merge) sends go into
-/// `scratch.buckets`, keyed by which entry of `dest_bounds` — the
-/// destination shards' node-range boundaries, `len = shards + 1` —
-/// contains the receiving node; reverse-port asymmetry is detected here
-/// (recorded in `scratch.broken`) so the parallel delivery never has to.
-/// With `wire_exact` additionally true, each staged frame is
-/// transcoded through the shard's [`CodecScratch`] *here* — the check
-/// is per-message-local, so the bucketed merge keeps its order-freedom
-/// — and the **decoded** message is what gets staged, with the bit
-/// count taken from the same encode; a decode failure sets
-/// `scratch.wire_bad`, stages the original, and the sequential
-/// fallback (or [`RoundEngine::merge_staged`]'s full replay) re-derives
-/// the error in global replay order. The caller passes `wire_exact`
-/// as false when a fault injector or trace sink is attached: those
-/// runs take the sequential merge, which performs the round trip
-/// itself in exact replay order.
+/// With `dest_bounds` given (the destination-sharded merge) sends go into
+/// `scratch.buckets`, keyed by which of the destination shards — node
+/// ranges between consecutive bounds — contains the receiving node.
+/// With `wire_exact` additionally true, each staged frame is transcoded
+/// through the shard's codec *here* — the check is per-message-local, so
+/// the bucketed merge keeps its order-freedom — and the **decoded**
+/// message is what gets staged, with the bit count taken from the same
+/// encode; a decode failure sets `scratch.wire_bad`, stages the
+/// original, and the sequential replay re-derives the error in global
+/// order. The caller passes `wire_exact` as false when a fault injector
+/// or trace sink is attached: those runs take the sequential merge,
+/// which performs the round trip itself in exact replay order.
 #[allow(clippy::too_many_arguments)]
 fn run_shard<P: Protocol>(
     graph: &Graph,
     ids: &[u64],
-    off: &[usize],
-    rev_port: &[usize],
     injector: Option<&FaultInjector>,
     round: u64,
-    bit_budget: Option<u64>,
+    config: EngineConfig,
     wire_exact: bool,
-    codec_profile: bool,
-    track_wakes: bool,
-    done_flag: &[bool],
     active: &[u32],
     node_base: usize,
     nodes: &mut [P],
     slot_base: usize,
     slots: &mut [Slot<P::Msg>],
-    bucketed: bool,
-    dest_bounds: &[u32],
+    dest_bounds: Option<&[u32]>,
     scratch: &mut WorkerScratch<P::Msg>,
 ) {
+    let offsets = graph.offsets();
     scratch.staged_meta.clear();
     scratch.staged_msgs.clear();
     scratch.sched.clear();
@@ -553,10 +438,9 @@ fn run_shard<P: Protocol>(
     scratch.sent_msgs = 0;
     scratch.sent_bits = 0;
     scratch.max_bits = 0;
-    scratch.broken = None;
     scratch.wire_bad = false;
-    if bucketed {
-        let shards = dest_bounds.len() - 1;
+    if let Some(bounds) = dest_bounds {
+        let shards = bounds.len() - 1;
         if scratch.buckets.len() < shards {
             scratch.buckets.resize_with(shards, Default::default);
         }
@@ -570,23 +454,20 @@ fn run_shard<P: Protocol>(
     }
     for &v32 in active {
         let v = v32 as usize;
-        let deg = graph.degree(NodeId(v));
-        let s0 = off[v] - slot_base;
+        let (s0, s1) = (offsets[v] - slot_base, offsets[v + 1] - slot_base);
         if injector.is_some_and(|inj| inj.is_crashed(NodeId(v), round)) {
             // a crashed node consumes nothing and sends nothing; its
             // queued arrivals are lost
-            for slot in &mut slots[s0..s0 + deg] {
+            for slot in &mut slots[s0..s1] {
                 if let Some((_, copies)) = slot.take() {
                     scratch.crash_lost += u64::from(copies);
                 }
             }
-            if track_wakes {
-                scratch.sched.push((v32, NodeOutcome::Crashed));
-            }
+            scratch.sched.push((v32, NodeOutcome::Crashed));
             continue;
         }
         scratch.inbox.clear();
-        for (p, slot) in slots[s0..s0 + deg].iter_mut().enumerate() {
+        for (p, slot) in slots[s0..s1].iter_mut().enumerate() {
             if let Some((msg, copies)) = slot.take() {
                 for _ in 1..copies {
                     scratch.inbox.push((Port(p), msg.clone()));
@@ -618,18 +499,14 @@ fn run_shard<P: Protocol>(
                 // doubles as the accounting pass — no separate
                 // `size_bits` walk on this path.
                 let (msg, bits) = if wire_exact {
-                    let t0 = codec_profile.then(Instant::now);
-                    let tripped = scratch.codec.transcode(&msg);
-                    if let Some(t0) = t0 {
-                        scratch.codec_ns += t0.elapsed().as_nanos() as u64;
-                        scratch.codec_msgs += 1;
-                    }
-                    match tripped {
+                    match scratch
+                        .codec
+                        .timed(config.codec_profile, |c| c.transcode(&msg))
+                    {
                         Ok(pair) => pair,
                         Err(_) => {
-                            // stage the original: the sequential
-                            // fallback replays every frame in global
-                            // order and re-derives the error there
+                            // stage the original: the sequential replay
+                            // re-derives the error in global order
                             scratch.wire_bad = true;
                             let bits = msg.size_bits();
                             (msg, bits)
@@ -640,21 +517,16 @@ fn run_shard<P: Protocol>(
                     (msg, bits)
                 };
                 #[cfg(debug_assertions)]
-                if let Some(budget) = bit_budget {
+                if let Some(budget) = config.bit_budget {
                     assert!(
                         bits <= budget,
                         "CONGEST budget exceeded: node {v} sent {bits} bits on port {p} \
                          in round {round} (budget {budget})",
                     );
                 }
-                #[cfg(not(debug_assertions))]
-                let _ = bit_budget;
-                if bucketed {
-                    if rev_port[off[v] + p] == usize::MAX && scratch.broken.is_none() {
-                        scratch.broken = Some((v32, Port(p)));
-                    }
+                if let Some(bounds) = dest_bounds {
                     let to = arcs[p].to.0 as u32;
-                    let d = dest_bounds.partition_point(|&b| b <= to) - 1;
+                    let d = bounds.partition_point(|&b| b <= to) - 1;
                     let (meta, msgs) = &mut scratch.buckets[d];
                     meta.push(pack_meta(v32, p, bits));
                     msgs.push(msg);
@@ -667,140 +539,98 @@ fn run_shard<P: Protocol>(
                 }
             }
         }
-        let now_done = node.is_done();
-        if track_wakes {
-            let outcome = if now_done {
-                NodeOutcome::Done
-            } else {
-                match node.next_wake(round) {
-                    Wake::EveryRound => NodeOutcome::Tick,
-                    Wake::OnMessage => NodeOutcome::Sleep,
-                    Wake::At(r) if r > round + 1 => NodeOutcome::Park(r),
-                    Wake::At(_) => NodeOutcome::Tick,
-                }
-            };
-            scratch.sched.push((v32, outcome));
-        } else if now_done != done_flag[v] {
-            let outcome = if now_done {
-                NodeOutcome::Done
-            } else {
-                NodeOutcome::Tick // un-done: re-count toward quiescence
-            };
-            scratch.sched.push((v32, outcome));
-        }
+        scratch.sched.push((v32, NodeOutcome::after(node, round)));
     }
 }
 
-/// The engine proper: owns the automata, the arena, the schedule
-/// bookkeeping, and the accounting shared by every execution mode.
+/// Replays staged sends — packed metadata words with their messages, in
+/// ascending `(sender, port)` order — into the core's sequential merge;
+/// the caller closes the merge. Sends at or past the violation `cut`
+/// never happened; with `round_trip`, each frame is round-tripped
+/// through `codec` first, so the receiving automaton provably depends
+/// only on the bits that were on the wire.
+fn replay<M: Message>(
+    core: &mut RoundCore<'_, M>,
+    codec: &mut Codec,
+    profile: bool,
+    round_trip: bool,
+    cut: Option<(u32, Port)>,
+    sends: impl Iterator<Item = (u64, M)>,
+) -> Result<(), SimError> {
+    let cut_node = cut.map_or(u32::MAX, |(v, _)| v);
+    for (meta, msg) in sends {
+        let v32 = (meta >> 40) as u32;
+        if v32 >= cut_node {
+            continue;
+        }
+        let p = ((meta >> 20) & 0xF_FFFF) as usize;
+        let field = meta & META_BITS;
+        let bits = if field == META_BITS {
+            msg.size_bits() // wider than the packed field
+        } else {
+            field
+        };
+        debug_assert_eq!(bits, msg.size_bits(), "packed word out of sync");
+        let msg = if round_trip {
+            codec
+                .timed(profile, |c| c.round_trip(&msg))
+                .map_err(|detail| SimError::WireMismatch {
+                    node: NodeId(v32 as usize),
+                    port: Port(p),
+                    round: core.round,
+                    detail,
+                })?
+        } else {
+            msg
+        };
+        core.deliver(v32, p, bits, msg);
+    }
+    Ok(())
+}
+
+/// The first CONGEST violation across `scratch`, by node order.
+fn violation_cut<M>(scratch: &[WorkerScratch<M>]) -> Option<(u32, Port)> {
+    scratch
+        .iter()
+        .filter_map(|s| s.violation)
+        .min_by_key(|&(v, _)| v)
+}
+
+/// The in-process compute backend: the automata, the per-worker scratch,
+/// and the cross-worker exchange.
 pub(crate) struct RoundEngine<'g, P: Protocol> {
     graph: &'g Graph,
     config: EngineConfig,
     nodes: Vec<P>,
     /// Application-level node ids, hoisted out of the round loop.
     ids: Vec<u64>,
-    /// `rev_port[off[v] + p]`: the port of the edge `(v, p)` at its
-    /// other endpoint, flattened CSR-style so delivery is O(1) per
-    /// message with no nested indirection. `usize::MAX` marks a
-    /// corrupted, asymmetric topology.
-    rev_port: Vec<usize>,
-    /// CSR offsets: node `v`'s arena slots are `off[v]..off[v + 1]`.
-    off: Vec<usize>,
-    /// Arena being consumed this round (last round's deliveries).
-    inbox: Vec<Slot<P::Msg>>,
-    /// Arena receiving this round's sends (next round's inbox).
-    pending: Vec<Slot<P::Msg>>,
-    /// Message copies queued in `pending`.
-    pending_count: u64,
-    /// Epoch stamps marking nodes already in `receivers` this round.
-    recv_mark: Vec<u64>,
-    /// Nodes with queued messages in `pending`, in delivery order
-    /// (sorted on demand when the active list is merged).
-    receivers: Vec<u32>,
-    /// Not-done nodes that asked to tick next round, sorted.
-    ticking: Vec<u32>,
-    /// Per-node one-shot timers: the authoritative `wake_at` table plus
-    /// the lazily-invalidated parked heap, both owned by the shared
-    /// event core (see [`crate::events`]).
-    timers: TimerHeap,
-    /// Scratch: valid timers due this round.
-    due: Vec<u32>,
-    /// Scratch for the three-way active-list merge.
-    merged: Vec<u32>,
-    /// Scratch for the current round's active list.
-    active: Vec<u32>,
-    /// `!is_done()` per node, as of its last execution.
-    done_flag: Vec<bool>,
-    /// Count of not-done nodes not yet excused by a crash — quiescence
-    /// in O(1).
-    live_undone: usize,
-    /// The fault plan's crash schedule, sorted by `(round, node)`, with
-    /// a cursor over the events already applied to `live_undone`.
-    crash_events: Vec<(u64, u32)>,
-    crash_cursor: usize,
     scratch: Vec<WorkerScratch<P::Msg>>,
-    /// The first step visits every node regardless of schedule, matching
-    /// the historical round-0 behaviour.
-    first_step: bool,
-    round: u64,
-    report: RunReport,
-    injector: Option<FaultInjector>,
-    last_activity: u64,
-    /// Messages lost in the inboxes of crashed nodes (counted separately
-    /// from the injector's link-level drops).
-    crash_lost: u64,
-    /// Evidence stream; `None` (the default) makes every emission site a
-    /// single never-taken branch.
-    trace: Option<Box<dyn TraceSink>>,
-    /// Fast-forward jumps taken so far (kept even without a sink — the
-    /// bench harness surfaces them).
-    ff_jumps: u64,
-    /// Rounds skipped by fast-forward so far.
-    ff_skipped: u64,
-    /// Fixed memory footprint in bytes (graph CSR, double-buffered
-    /// arenas, tables, automata), computed once at construction from
-    /// logical lengths and type sizes — deterministic across thread
-    /// counts and schedulers.
-    fixed_mem: u64,
-    /// Sends staged in the last executed round (all shards), feeding the
-    /// peak-memory high-water mark.
-    round_staged: u64,
     /// Node-range boundaries of the destination shards for the bucketed
     /// merge (`len = shards + 1`), rebuilt each sharded round.
     dest_bounds: Vec<u32>,
     /// Persistent cross-worker channels for the bucketed merge, created
     /// on the first multi-shard round.
     exchange: Option<Exchange<P::Msg>>,
-    /// Reused wire-codec buffers for the sequential merge's wire-exact
-    /// round trips (workers carry their own in [`WorkerScratch`]).
-    codec: CodecScratch,
-    /// Codec nanoseconds spent in the sequential merge (profiling only;
-    /// worker shards accumulate theirs in scratch).
-    codec_ns: u64,
-    /// Codec round trips performed in the sequential merge (profiling
-    /// only).
-    codec_msgs: u64,
+    /// Codec buffers for the sequential merge's round trips (workers
+    /// carry their own in [`WorkerScratch`]).
+    codec: Codec,
 }
 
 impl<'g, P: Protocol> RoundEngine<'g, P> {
-    /// Bytes one staged send occupies: the packed metadata word plus its
-    /// message slab slot. Defined from type sizes so the peak-memory
-    /// figure is identical whichever merge path ran.
-    const STAGED_BYTES: u64 = 8 + std::mem::size_of::<P::Msg>() as u64;
-
-    /// Creates an engine with one automaton per node.
+    /// Creates a run: the round core (with the environment's trace sink,
+    /// `KDOM_TRACE`) and the engine holding one automaton per node.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes.len() != graph.node_count()`, if the graph
+    /// Panics if `nodes.len() != graph.node_count()`, or if the graph
     /// exceeds the packed-metadata capacity (2^24 nodes, 2^20 ports per
-    /// node), or if a node starts beyond a scheduled crash.
+    /// node).
     pub fn new(
         graph: &'g Graph,
         nodes: Vec<P>,
         config: EngineConfig,
         injector: Option<FaultInjector>,
-    ) -> Self {
+    ) -> (RoundCore<'g, P::Msg>, Self) {
         assert_eq!(
             nodes.len(),
             graph.node_count(),
@@ -808,122 +638,31 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
         );
         let n = graph.node_count();
         assert!(n <= 1 << 24, "packed staging supports up to 2^24 nodes");
-        let ids: Vec<u64> = (0..n).map(|v| graph.id_of(NodeId(v))).collect();
-        let mut off = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        off.push(0);
-        for v in 0..n {
-            let deg = graph.degree(NodeId(v));
-            assert!(deg < 1 << 20, "packed staging supports degrees below 2^20");
-            acc += deg;
-            off.push(acc);
-        }
-        let mut rev_port = vec![usize::MAX; acc];
-        for v in 0..n {
-            for (p, arc) in graph.neighbors(NodeId(v)).iter().enumerate() {
-                if let Some(rp) = graph
-                    .neighbors(arc.to)
-                    .iter()
-                    .position(|a| a.edge == arc.edge)
-                {
-                    rev_port[off[v] + p] = rp;
-                }
-            }
-        }
-        // The run's fixed footprint, from logical lengths and type sizes
-        // (not allocator capacities, which scheduling could perturb): the
-        // graph CSR, the ids, the offset and reverse-port tables, both
-        // message arenas, the per-node schedule state (wake_at 8 +
-        // recv_mark 8 + done_flag 1 bytes), and the automata themselves.
-        let usize_b = std::mem::size_of::<usize>() as u64;
-        let fixed_mem = graph.memory_bytes()
-            + (n as u64) * 8
-            + ((n + 1) as u64 + acc as u64) * usize_b
-            + 2 * (acc as u64) * std::mem::size_of::<Slot<P::Msg>>() as u64
-            + (n as u64) * 17
-            + (n as u64) * std::mem::size_of::<P>() as u64;
-        let done_flag: Vec<bool> = nodes.iter().map(Protocol::is_done).collect();
-        let live_undone = done_flag.iter().filter(|&&d| !d).count();
-        let crash_events = injector
-            .as_ref()
-            .map(FaultInjector::crash_schedule)
-            .unwrap_or_default();
-        let mut engine = RoundEngine {
+        assert!(
+            graph.offsets().windows(2).all(|w| w[1] - w[0] < 1 << 20),
+            "packed staging supports degrees below 2^20"
+        );
+        let done = nodes.iter().map(Protocol::is_done).collect();
+        let mut core = RoundCore::new(
+            graph,
+            config,
+            done,
+            injector,
+            fixed_memory::<P>(graph),
+            staged_bytes::<P>(),
+        );
+        core.attach_trace(crate::trace::from_env());
+        let engine = RoundEngine {
             graph,
             config,
             nodes,
-            ids,
-            rev_port,
-            off,
-            inbox: (0..acc).map(|_| None).collect(),
-            pending: (0..acc).map(|_| None).collect(),
-            pending_count: 0,
-            recv_mark: vec![0; n],
-            receivers: Vec::new(),
-            ticking: Vec::new(),
-            timers: TimerHeap::new(n),
-            due: Vec::new(),
-            merged: Vec::new(),
-            active: Vec::new(),
-            done_flag,
-            live_undone,
-            crash_events,
-            crash_cursor: 0,
+            ids: (0..n).map(|v| graph.id_of(NodeId(v))).collect(),
             scratch: Vec::new(),
-            first_step: true,
-            round: 0,
-            report: RunReport {
-                peak_memory_bytes: fixed_mem,
-                ..RunReport::default()
-            },
-            injector,
-            last_activity: 0,
-            crash_lost: 0,
-            trace: None,
-            ff_jumps: 0,
-            ff_skipped: 0,
-            fixed_mem,
-            round_staged: 0,
             dest_bounds: Vec::new(),
             exchange: None,
-            codec: CodecScratch::new(),
-            codec_ns: 0,
-            codec_msgs: 0,
+            codec: Codec::default(),
         };
-        engine.advance_crash_epoch();
-        engine.attach_trace(crate::trace::from_env());
-        engine
-    }
-
-    /// Attaches an evidence sink and announces the run to it; `None` is
-    /// a no-op (the environment default when `KDOM_TRACE` is unset).
-    pub fn attach_trace(&mut self, sink: Option<Box<dyn TraceSink>>) {
-        if let Some(mut t) = sink {
-            t.event(&TraceEvent::RunStart {
-                mode: "sync",
-                nodes: self.graph.node_count(),
-                edges: self.graph.edge_count(),
-                bit_budget: self.config.bit_budget,
-                fixed_mem: Some(self.fixed_mem),
-            });
-            self.trace = Some(t);
-        }
-    }
-
-    /// Emits the final report to the trace stream and flushes it; called
-    /// by the simulator when a run reaches quiescence.
-    pub fn trace_run_end(&mut self) {
-        if let Some(t) = self.trace.as_mut() {
-            t.event(&TraceEvent::RunEnd {
-                report: &self.report,
-            });
-            t.flush();
-        }
-    }
-
-    /// `(jumps, skipped_rounds)` taken by quiescence fast-forward so far.
-    pub fn fast_forward_stats(&self) -> (u64, u64) {
-        (self.ff_jumps, self.ff_skipped)
+        (core, engine)
     }
 
     /// `(nanoseconds, round_trips)` spent in the wire codec so far,
@@ -931,291 +670,136 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
     /// zeros unless [`EngineConfig::codec_profile`] is set (and then
     /// only wire-exact runs pay codec time).
     pub fn codec_stats(&self) -> (u64, u64) {
-        let mut ns = self.codec_ns;
-        let mut msgs = self.codec_msgs;
-        for s in &self.scratch {
-            ns += s.codec_ns;
-            msgs += s.codec_msgs;
-        }
-        (ns, msgs)
+        let codecs = std::iter::once(&self.codec).chain(self.scratch.iter().map(|s| &s.codec));
+        codecs.fold((0, 0), |(ns, msgs), c| (ns + c.ns, msgs + c.msgs))
     }
 
     pub fn nodes(&self) -> &[P] {
         &self.nodes
     }
 
-    pub fn into_parts(self) -> (Vec<P>, RunReport) {
-        (self.nodes, self.report)
+    pub fn into_nodes(self) -> Vec<P> {
+        self.nodes
     }
 
-    pub fn report(&self) -> &RunReport {
-        &self.report
+    /// The sequential merge: replays every shard's staged sends in
+    /// ascending node order (shards cover ascending node ranges).
+    fn merge_staged(
+        &mut self,
+        core: &mut RoundCore<'_, P::Msg>,
+        shards: usize,
+    ) -> Result<(), SimError> {
+        let scratch = &mut self.scratch[..shards];
+        // On a double send the sequential loop aborts at the violating
+        // node: its sends and every later node's sends never happen.
+        let cut = violation_cut(scratch);
+        // Unordered runs transcoded every message at staging (the decoded
+        // frame is what sits in the slab), so the merge only replays the
+        // round trip for ordered runs — fault injection or tracing — or
+        // to re-derive a staging failure at its exact replay position.
+        let ordered = core.injector.is_some() || core.trace.is_some();
+        let round_trip = self.config.wire_exact && (ordered || scratch.iter().any(|s| s.wire_bad));
+        core.open_merge(
+            scratch.iter().map(|s| s.staged_meta.len() as u64).sum(),
+            scratch.iter().map(|s| s.crash_lost).sum(),
+        );
+        for s in scratch.iter_mut() {
+            replay(
+                core,
+                &mut self.codec,
+                self.config.codec_profile,
+                round_trip,
+                cut,
+                s.staged_meta.drain(..).zip(s.staged_msgs.drain(..)),
+            )?;
+        }
+        core.close_merge(cut)
     }
 
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Whether every surviving node is done and no messages are queued.
-    /// Crash excuses are evaluated at the *current* round (the crash
-    /// cursor is advanced with it), so a node scheduled to crash later
-    /// still counts as unfinished now.
-    pub fn quiescent(&self) -> bool {
-        self.pending_count == 0 && self.live_undone == 0
-    }
-
-    /// Applies every crash event scheduled at or before the current
-    /// round: an unfinished node that crashes stops counting toward
-    /// quiescence, and its timer (if any) is cancelled.
-    fn advance_crash_epoch(&mut self) {
-        while let Some(&(at, v)) = self.crash_events.get(self.crash_cursor) {
-            if at > self.round {
-                break;
+    /// Sequential replay of a bucketed round on which a shard flagged a
+    /// CONGEST violation or a wire mismatch. The workers left all
+    /// exchanged batches in their `incoming` slots and the pending arena
+    /// untouched; sorting the packed metadata words restores the exact
+    /// ascending `(sender, port)` order of the sequential merge (the
+    /// words are unique per edge direction), so the partial accounting
+    /// and delivery state at the abort match a single-threaded run byte
+    /// for byte. In wire-exact mode every frame is round-tripped again
+    /// in that order — idempotent for the frames that already passed at
+    /// staging time, and re-deriving the mismatch at its exact
+    /// sequential position for the one that failed (a wire error at a
+    /// lower node beats a violation cut at a higher one).
+    fn replay_sorted(
+        &mut self,
+        core: &mut RoundCore<'_, P::Msg>,
+        shards: usize,
+    ) -> Result<(), SimError> {
+        let cut = violation_cut(&self.scratch[..shards]);
+        let mut entries: Vec<(u64, P::Msg)> = Vec::new();
+        for s in &mut self.scratch[..shards] {
+            for (meta, msgs) in &mut s.incoming[..shards] {
+                entries.extend(meta.drain(..).zip(msgs.drain(..)));
             }
-            self.crash_cursor += 1;
-            if !self.done_flag[v as usize] {
-                self.live_undone -= 1;
-            }
-            self.timers.cancel(v);
         }
+        entries.sort_unstable_by_key(|&(meta, _)| meta);
+        core.open_merge(entries.len() as u64, 0);
+        replay(
+            core,
+            &mut self.codec,
+            self.config.codec_profile,
+            self.config.wire_exact,
+            cut,
+            entries.into_iter(),
+        )?;
+        core.close_merge(cut)
     }
+}
 
-    /// Skips ahead over provably-empty rounds: when nothing is queued and
-    /// no node ticks, every round before the next due timer, the next
-    /// scheduled crash, or `limit` executes nothing — advance the round
-    /// counter (and nothing else) straight there. A skipped round is
-    /// byte-identical to stepping it: an empty step only increments the
-    /// counter, so every report field, the fault-injector RNG, and all
-    /// node states are untouched either way.
-    ///
-    /// No-ops under [`Scheduling::FullScan`] (which must step everyone),
-    /// before the first step, or when disabled via the config.
-    pub fn fast_forward(&mut self, limit: u64) {
-        if !self.config.fast_forward
-            || self.config.scheduling == Scheduling::FullScan
-            || self.first_step
-            || self.pending_count != 0
-            || !self.ticking.is_empty()
-        {
-            return;
-        }
-        let mut target = limit;
-        if let Some(wake) = self.timers.next_valid() {
-            if wake <= self.round {
-                return; // a timer is due: the next step is a real one
-            }
-            target = target.min(wake);
-        }
-        if let Some(&(at, _)) = self.crash_events.get(self.crash_cursor) {
-            target = target.min(at);
-        }
-        if target <= self.round {
-            return;
-        }
-        if let Some(t) = self.trace.as_mut() {
-            t.event(&TraceEvent::FastForward {
-                from: self.round,
-                to: target,
-            });
-        }
-        self.ff_jumps += 1;
-        self.ff_skipped += target - self.round;
-        self.round = target;
-        self.report.rounds = target;
-        self.advance_crash_epoch();
-    }
-
-    /// Snapshot of who is stuck: unfinished survivors, per-node queued
-    /// message counts (copies included, read straight from the arena),
-    /// and crash context.
-    pub fn stall_report(&self) -> StallReport {
-        let round = self.round;
-        let is_crashed = |v: usize| {
-            self.injector
-                .as_ref()
-                .is_some_and(|inj| inj.is_crashed(NodeId(v), round))
-        };
-        let mut pending: Vec<(NodeId, usize)> = self
-            .receivers
-            .iter()
-            .map(|&v| (NodeId(v as usize), self.queued_at(v as usize)))
-            .filter(|&(_, depth)| depth > 0)
-            .collect();
-        pending.sort_unstable_by_key(|&(v, _)| v.0);
-        StallReport {
-            not_done: (0..self.nodes.len())
-                .filter(|&v| !self.done_flag[v] && !is_crashed(v))
-                .map(NodeId)
-                .collect(),
-            pending,
-            last_activity: self.last_activity,
-            crashed: (0..self.nodes.len())
-                .filter(|&v| is_crashed(v))
-                .map(NodeId)
-                .collect(),
-            live: (0..self.nodes.len())
-                .filter(|&v| !is_crashed(v))
-                .map(NodeId)
-                .collect(),
-            stopped_at: round,
-        }
-    }
-
-    /// Runs until quiescence or until the round counter reaches the
-    /// `boundary` (whichever comes first), returning whether the engine
-    /// is quiescent. This is the epoch driver's primitive: a churn epoch
-    /// scheduled at round `r` cuts the run at exactly `r`, whatever the
-    /// protocol was doing — fast-forward is bounded by the boundary so a
-    /// jump never overshoots it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::RoundLimitExceeded`] if `limit` rounds elapse
-    /// before either the boundary or quiescence, and propagates every
-    /// error of [`RoundEngine::step`].
-    pub fn run_to(&mut self, boundary: u64, limit: u64) -> Result<bool, SimError> {
-        loop {
-            if self.quiescent() {
-                return Ok(true);
-            }
-            self.fast_forward(boundary.min(limit));
-            if self.quiescent() {
-                return Ok(true);
-            }
-            if self.round >= boundary {
-                return Ok(false);
-            }
-            if self.round >= limit {
-                return Err(SimError::RoundLimitExceeded {
-                    limit,
-                    stall: self.stall_report(),
-                });
-            }
-            self.step()?;
-        }
-    }
-
-    /// Message copies queued for `v` in the pending arena.
-    fn queued_at(&self, v: usize) -> usize {
-        self.pending[self.off[v]..self.off[v + 1]]
-            .iter()
-            .filter_map(|s| s.as_ref().map(|&(_, copies)| copies as usize))
-            .sum()
-    }
-
-    /// Rebuilds the per-node pending queues in the legacy
-    /// `Vec<Vec<(Port, Msg)>>` shape (sorted by port, duplicates
-    /// adjacent) for invariant checks. Allocates; only called when
-    /// invariants are registered.
-    pub fn materialize_pending(&self) -> Vec<Vec<(Port, P::Msg)>> {
-        (0..self.nodes.len())
-            .map(|v| {
-                let mut queue = Vec::new();
-                for (p, slot) in self.pending[self.off[v]..self.off[v + 1]]
-                    .iter()
-                    .enumerate()
-                {
-                    if let Some((msg, copies)) = slot {
-                        for _ in 0..*copies {
-                            queue.push((Port(p), msg.clone()));
-                        }
-                    }
-                }
-                queue
-            })
-            .collect()
-    }
-
-    /// Executes a single round: delivers queued messages, steps the
-    /// scheduled automata (sharded across workers when configured), and
-    /// merges the staged sends in node order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::CongestViolation`] on a double send and
-    /// [`SimError::BrokenTopology`] on an asymmetric adjacency list.
-    pub fn step(&mut self) -> Result<(), SimError> {
-        let n = self.graph.node_count();
-        if let Some(t) = self.trace.as_mut() {
-            t.event(&TraceEvent::Round { round: self.round });
-        }
-        // the drained inbox arena becomes the next pending buffer:
-        // zero allocation per round
-        std::mem::swap(&mut self.inbox, &mut self.pending);
-        self.pending_count = 0;
-
-        // pop timers due this round: the event core discards stale
-        // entries (superseded wakes) and returns the valid ones sorted
-        // and deduplicated — see `TimerHeap::pop_due` for why the dedup
-        // is load-bearing (the PR 3 double-step class)
-        self.timers.pop_due(self.round, &mut self.due);
-
-        self.active.clear();
-        let estimate = self.ticking.len() + self.due.len() + self.receivers.len();
-        if self.first_step
-            || self.config.scheduling == Scheduling::FullScan
-            || estimate * 100 >= n.saturating_mul(self.config.dense_pct)
-        {
-            // dense fallback: when most nodes are active anyway, the
-            // 0..n scan beats merging near-full sorted lists
-            self.active.extend(0..n as u32);
-        } else {
-            self.receivers.sort_unstable();
-            self.merged.clear();
-            merge_sorted_dedup(&self.ticking, &self.due, &mut self.merged);
-            merge_sorted_dedup(&self.merged, &self.receivers, &mut self.active);
-        }
-        self.first_step = false;
-        self.receivers.clear();
-
+impl<P: Protocol> RoundBackend<P::Msg> for RoundEngine<'_, P> {
+    /// Steps the active nodes (sharded across workers when configured)
+    /// and merges their staged sends in node order.
+    fn execute(&mut self, core: &mut RoundCore<'_, P::Msg>) -> Result<(), SimError> {
+        let graph = self.graph;
+        let config = self.config;
+        let n = graph.node_count();
         // Shard count: `per` from the configured ceiling, then the *true*
         // chunk count — div_ceil can produce fewer non-empty chunks than
         // the first estimate, and iterating stale scratch for the missing
         // chunks would double-count its previous round's state.
-        let shards0 = self
-            .config
+        let shards0 = config
             .threads
-            .min(self.active.len() / self.config.shard_min.max(1))
+            .min(core.active.len() / config.shard_min.max(1))
             .max(1);
-        let per = self.active.len().div_ceil(shards0).max(1);
-        let shards = self.active.len().div_ceil(per).max(1);
+        let per = core.active.len().div_ceil(shards0).max(1);
+        let shards = core.active.len().div_ceil(per).max(1);
         if self.scratch.len() < shards {
             self.scratch.resize_with(shards, WorkerScratch::default);
         }
-
-        let track_wakes = self.config.scheduling == Scheduling::ActiveSet;
-        let round_msgs;
+        // A fault injector (its RNG stream) and a trace sink (its send
+        // events) need the sequential replay order. Everything else can
+        // take order-free paths, with wire-exact frames transcoded at
+        // staging time: that check is per-message-local.
+        let ordered = core.injector.is_some() || core.trace.is_some();
+        let wire_exact = config.wire_exact && !ordered;
         if shards == 1 {
             run_shard(
-                self.graph,
+                graph,
                 &self.ids,
-                &self.off,
-                &self.rev_port,
-                self.injector.as_ref(),
-                self.round,
-                self.config.bit_budget,
-                self.config.wire_exact && self.injector.is_none() && self.trace.is_none(),
-                self.config.codec_profile,
-                track_wakes,
-                &self.done_flag,
-                &self.active,
+                core.injector.as_ref(),
+                core.round,
+                config,
+                wire_exact,
+                &core.active,
                 0,
                 &mut self.nodes,
                 0,
-                &mut self.inbox,
-                false,
-                &[],
+                &mut core.inbox,
+                None,
                 &mut self.scratch[0],
             );
-            round_msgs = self.merge_staged(1)?;
+            self.merge_staged(core, 1)?;
         } else {
-            // The destination-sharded merge needs per-message effects to
-            // be order-free; a fault injector (RNG stream) and a trace
-            // sink (send events) demand the sequential replay order, so
-            // they take the sequential merge. Wire-exact verification is
-            // per-message-local and rides the bucketed path: workers
-            // round-trip their own frames at staging time.
-            let bucketed = self.injector.is_none() && self.trace.is_none();
+            // the destination-sharded merge needs order-free effects
+            let bucketed = !ordered;
             self.dest_bounds.clear();
             if bucketed {
                 // Worker s owns delivery for nodes [bounds[s], bounds[s+1]):
@@ -1223,34 +807,26 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
                 // the tiles cover 0..n contiguously.
                 self.dest_bounds.push(0);
                 for s in 1..shards {
-                    self.dest_bounds.push(self.active[s * per]);
+                    self.dest_bounds.push(core.active[s * per]);
                 }
                 self.dest_bounds.push(n as u32);
                 if self.exchange.is_none() {
-                    self.exchange = Some(Exchange::new(self.config.threads));
+                    self.exchange = Some(Exchange::new(config.threads));
                 }
             }
-            let graph = self.graph;
             let ids = &self.ids;
-            let off = &self.off;
-            let rev_port = &self.rev_port;
-            let injector = self.injector.as_ref();
-            let round = self.round;
+            let (offsets, twins) = (core.offsets, core.twins);
+            let injector = core.injector.as_ref();
+            let round = core.round;
             let epoch = round + 1;
-            let bit_budget = self.config.bit_budget;
-            // staging-time transcode needs no injector/trace attached —
-            // exactly the bucketed-eligibility condition
-            let wire_exact = self.config.wire_exact && bucketed;
-            let codec_profile = self.config.codec_profile;
-            let done_flag = &self.done_flag;
-            let active = &self.active;
-            let dest_bounds = &self.dest_bounds;
+            let active = &core.active;
+            let dest_bounds = bucketed.then_some(&self.dest_bounds[..]);
             let fallback = AtomicBool::new(false);
             let fallback_ref = &fallback;
             let mut nodes_tail: &mut [P] = &mut self.nodes;
-            let mut slots_tail: &mut [Slot<P::Msg>] = &mut self.inbox;
-            let mut pend_tail: &mut [Slot<P::Msg>] = &mut self.pending;
-            let mut mark_tail: &mut [u64] = &mut self.recv_mark;
+            let mut slots_tail: &mut [Slot<P::Msg>] = &mut core.inbox;
+            let mut pend_tail: &mut [Slot<P::Msg>] = &mut core.pending;
+            let mut mark_tail: &mut [u64] = &mut core.recv_mark;
             let mut nodes_cut = 0usize;
             let mut slots_cut = 0usize;
             let mut scratch_iter = self.scratch.iter_mut();
@@ -1267,7 +843,7 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
                         std::mem::take(&mut nodes_tail).split_at_mut(node_hi - nodes_cut);
                     let shard_nodes = &mut head_n[node_lo - nodes_cut..];
                     nodes_tail = tail_n;
-                    let (slot_lo, slot_hi) = (off[node_lo], off[node_hi]);
+                    let (slot_lo, slot_hi) = (offsets[node_lo], offsets[node_hi]);
                     let (head_s, tail_s) =
                         std::mem::take(&mut slots_tail).split_at_mut(slot_hi - slots_cut);
                     let shard_slots = &mut head_s[slot_lo - slots_cut..];
@@ -1278,65 +854,53 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
                     // Bucketed: this worker's delivery tile of the pending
                     // arena and the receiver marks. The tiles are
                     // contiguous, so successive splits need no offset.
-                    let (dest_lo, dest_slots, dest_marks, txs, rx) = if bucketed {
-                        let (lo, hi) = (dest_bounds[s] as usize, dest_bounds[s + 1] as usize);
-                        let (ds, rest_p) =
-                            std::mem::take(&mut pend_tail).split_at_mut(off[hi] - off[lo]);
-                        pend_tail = rest_p;
-                        let (dm, rest_m) = std::mem::take(&mut mark_tail).split_at_mut(hi - lo);
-                        mark_tail = rest_m;
-                        (
-                            lo,
-                            ds,
-                            dm,
-                            Some(tx_iter.next().expect("one sender row per worker")),
-                            Some(rx_iter.next().expect("one receiver per worker")),
-                        )
-                    } else {
-                        (0, Default::default(), Default::default(), None, None)
+                    let (dest_lo, dest_slots, dest_marks, txs, rx) = match dest_bounds {
+                        Some(bounds) => {
+                            let (lo, hi) = (bounds[s] as usize, bounds[s + 1] as usize);
+                            let (ds, rest_p) = std::mem::take(&mut pend_tail)
+                                .split_at_mut(offsets[hi] - offsets[lo]);
+                            pend_tail = rest_p;
+                            let (dm, rest_m) = std::mem::take(&mut mark_tail).split_at_mut(hi - lo);
+                            mark_tail = rest_m;
+                            (
+                                lo,
+                                ds,
+                                dm,
+                                Some(tx_iter.next().expect("one sender row per worker")),
+                                Some(rx_iter.next().expect("one receiver per worker")),
+                            )
+                        }
+                        None => (0, Default::default(), Default::default(), None, None),
                     };
                     let run = move || {
                         run_shard(
                             graph,
                             ids,
-                            off,
-                            rev_port,
                             injector,
                             round,
-                            bit_budget,
+                            config,
                             wire_exact,
-                            codec_profile,
-                            track_wakes,
-                            done_flag,
                             chunk,
                             node_lo,
                             shard_nodes,
                             slot_lo,
                             shard_slots,
-                            bucketed,
                             dest_bounds,
                             scratch,
                         );
-                        if !bucketed {
-                            return;
-                        }
-                        // A violation, asymmetry, or wire mismatch
-                        // poisons the parallel delivery; flag it
-                        // *before* sending so every worker's
-                        // post-exchange check observes it.
-                        if scratch.violation.is_some()
-                            || scratch.broken.is_some()
-                            || scratch.wire_bad
-                        {
+                        let (Some(txs), Some(rx)) = (txs, rx) else {
+                            return; // sequential merge
+                        };
+                        // A violation or a wire mismatch poisons the
+                        // parallel delivery; flag it *before* sending so
+                        // every worker's post-exchange check observes it.
+                        if scratch.violation.is_some() || scratch.wire_bad {
                             fallback_ref.store(true, Ordering::Relaxed);
                         }
-                        let txs = txs.expect("bucketed workers have senders");
-                        let rx = rx.expect("bucketed workers have a receiver");
                         for (d, tx) in txs.iter().enumerate().take(shards) {
                             let (meta, msgs) = std::mem::take(&mut scratch.buckets[d]);
                             let _ = tx.send((s, meta, msgs));
                         }
-                        scratch.delivered = 0;
                         scratch.dest_receivers.clear();
                         // The receive loop doubles as the round barrier:
                         // every worker's flag store happens-before its
@@ -1351,21 +915,20 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
                             // the pending arena is untouched
                             return;
                         }
-                        let pend_base = off[dest_lo];
+                        let pend_base = offsets[dest_lo];
                         for src in 0..shards {
                             let (meta_v, msgs_v) = &mut scratch.incoming[src];
                             for (&meta, msg) in meta_v.iter().zip(msgs_v.drain(..)) {
                                 let v = (meta >> 40) as usize;
                                 let p = ((meta >> 20) & 0xF_FFFF) as usize;
-                                let rp = rev_port[off[v] + p];
                                 let to = graph.neighbors(NodeId(v))[p].to.0;
-                                let slot = &mut dest_slots[off[to] + rp - pend_base];
+                                let slot = &mut dest_slots
+                                    [offsets[to] + twins[offsets[v] + p] as usize - pend_base];
                                 debug_assert!(
                                     slot.is_none(),
                                     "one sender per edge direction per round"
                                 );
                                 *slot = Some((msg, 1));
-                                scratch.delivered += 1;
                                 let m = &mut dest_marks[to - dest_lo];
                                 if *m != epoch {
                                     *m = epoch;
@@ -1389,375 +952,39 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
                     }
                 }
             });
-            if bucketed {
-                if fallback.into_inner() {
-                    return Err(self.merge_bucketed_fallback(shards));
-                }
-                let mut sent = 0u64;
-                let mut bits = 0u64;
-                let mut max_bits = 0u64;
-                let mut delivered = 0u64;
-                for s in &self.scratch[..shards] {
+            if !bucketed {
+                self.merge_staged(core, shards)?;
+            } else if fallback.into_inner() {
+                self.replay_sorted(core, shards)?;
+            } else {
+                let (mut sent, mut bits, mut max_bits) = (0u64, 0u64, 0u64);
+                for s in &mut self.scratch[..shards] {
                     sent += s.sent_msgs;
                     bits += s.sent_bits;
                     max_bits = max_bits.max(s.max_bits);
-                    delivered += s.delivered;
-                }
-                self.report.messages += sent;
-                self.report.total_bits += bits;
-                self.report.max_message_bits = self.report.max_message_bits.max(max_bits);
-                self.pending_count += delivered;
-                let RoundEngine {
-                    receivers, scratch, ..
-                } = self;
-                for s in &mut scratch[..shards] {
                     // order differs from the sequential merge, but the
                     // list is sorted before every use
-                    receivers.extend_from_slice(&s.dest_receivers);
-                    s.dest_receivers.clear();
+                    core.receivers.extend_from_slice(&s.dest_receivers);
                 }
-                self.round_staged = sent;
-                round_msgs = sent;
-            } else {
-                round_msgs = self.merge_staged(shards)?;
+                core.absorb_parallel(sent, bits, max_bits);
             }
         }
-        self.apply_schedule(shards);
-        self.report.peak_memory_bytes = self
-            .report
-            .peak_memory_bytes
-            .max(self.fixed_mem + self.round_staged * Self::STAGED_BYTES);
-
-        if let Some(inj) = &self.injector {
-            self.report.dropped_messages = inj.dropped() + self.crash_lost;
-            self.report.duplicated_messages = inj.duplicated();
-        }
-        self.report.peak_messages_per_round = self.report.peak_messages_per_round.max(round_msgs);
-        if round_msgs > 0 {
-            self.last_activity = self.round;
-        }
-        self.round += 1;
-        self.report.rounds = self.round;
-        self.advance_crash_epoch();
+        core.apply_schedule(
+            self.scratch[..shards]
+                .iter_mut()
+                .flat_map(|s| s.sched.drain(..)),
+        );
         Ok(())
-    }
-
-    /// Folds the shards' per-node outcomes into next round's schedule:
-    /// the ticking list, the timer heap, and the O(1) quiescence counter.
-    /// Shards cover ascending node ranges, so concatenation keeps
-    /// `ticking` sorted.
-    fn apply_schedule(&mut self, shards: usize) {
-        let next = self.round + 1;
-        let RoundEngine {
-            scratch,
-            ticking,
-            timers,
-            done_flag,
-            live_undone,
-            ..
-        } = self;
-        ticking.clear();
-        for s in scratch[..shards].iter_mut() {
-            for (v32, outcome) in s.sched.drain(..) {
-                let v = v32 as usize;
-                match outcome {
-                    NodeOutcome::Crashed => timers.cancel(v32),
-                    NodeOutcome::Done => {
-                        if !done_flag[v] {
-                            done_flag[v] = true;
-                            *live_undone -= 1;
-                        }
-                        timers.cancel(v32);
-                    }
-                    NodeOutcome::Tick | NodeOutcome::Sleep | NodeOutcome::Park(_) => {
-                        if done_flag[v] {
-                            // un-done: a message re-activated the node
-                            done_flag[v] = false;
-                            *live_undone += 1;
-                        }
-                        match outcome {
-                            NodeOutcome::Tick => {
-                                // the ticking list schedules the node;
-                                // `note` only invalidates parked entries
-                                timers.note(v32, next);
-                                ticking.push(v32);
-                            }
-                            NodeOutcome::Sleep => timers.cancel(v32),
-                            // `park` skips the push when the heap
-                            // already holds this exact wake —
-                            // re-parking an unchanged timer is free
-                            NodeOutcome::Park(r) => timers.park(v32, r),
-                            _ => unreachable!(),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Replays the staged sends of every shard in ascending node order:
-    /// message accounting (`size_bits` read from the packed metadata
-    /// word), fault-injector transmission (the *only* place its RNG
-    /// advances), and arena delivery. Returns the number of messages
-    /// sent this round.
-    fn merge_staged(&mut self, shards: usize) -> Result<u64, SimError> {
-        let round = self.round;
-        // On a double send the sequential loop aborts at the violating
-        // node: its sends and every later node's sends never happen.
-        // Reproduce that cut-off exactly.
-        let cut = self.scratch[..shards]
-            .iter()
-            .filter_map(|s| s.violation)
-            .min_by_key(|&(v, _)| v);
-        let cut_node = cut.map_or(u32::MAX, |(v, _)| v);
-        // With no injector/trace attached, `run_shard` already transcoded
-        // every staged message (the decoded frame is what sits in the
-        // slab), so the merge only replays the round trip when staging
-        // could not (sequential-order runs) or when a staging transcode
-        // failed and the error must be re-derived at its exact replay
-        // position.
-        let pretranscoded = self.injector.is_none() && self.trace.is_none();
-        let any_bad = self.scratch[..shards].iter().any(|s| s.wire_bad);
-        let wire_exact = self.config.wire_exact && (!pretranscoded || any_bad);
-        let codec_profile = self.config.codec_profile;
-        let mut round_msgs = 0u64;
-        let RoundEngine {
-            graph,
-            rev_port,
-            off,
-            pending,
-            pending_count,
-            recv_mark,
-            receivers,
-            injector,
-            report,
-            scratch,
-            crash_lost,
-            trace,
-            round_staged,
-            codec,
-            codec_ns,
-            codec_msgs,
-            ..
-        } = self;
-        let epoch = round + 1;
-        // One flush and one crash-loss event per round, aggregated over
-        // all shards, so the trace stream is byte-identical whatever
-        // KDOM_THREADS was.
-        let staged_total: u64 = scratch[..shards]
-            .iter()
-            .map(|s| s.staged_meta.len() as u64)
-            .sum();
-        *round_staged = staged_total;
-        let lost_total: u64 = scratch[..shards].iter().map(|s| s.crash_lost).sum();
-        if let Some(t) = trace.as_mut() {
-            t.event(&TraceEvent::ShardFlush {
-                round,
-                staged: staged_total,
-                bytes: staged_total * Self::STAGED_BYTES,
-            });
-            if lost_total > 0 {
-                t.event(&TraceEvent::CrashLost {
-                    round,
-                    copies: lost_total,
-                });
-            }
-        }
-        *crash_lost += lost_total;
-        for s in scratch[..shards].iter_mut() {
-            for (meta, msg) in s.staged_meta.drain(..).zip(s.staged_msgs.drain(..)) {
-                let v32 = (meta >> 40) as u32;
-                if v32 >= cut_node {
-                    continue;
-                }
-                let (v, p) = (v32 as usize, ((meta >> 20) & 0xF_FFFF) as usize);
-                let rp = rev_port[off[v] + p];
-                if rp == usize::MAX {
-                    return Err(SimError::BrokenTopology {
-                        node: NodeId(v),
-                        port: Port(p),
-                    });
-                }
-                let arc = graph.neighbors(NodeId(v))[p];
-                let field = meta & META_BITS;
-                let bits = if field == META_BITS {
-                    msg.size_bits() // wider than the packed field
-                } else {
-                    field
-                };
-                debug_assert_eq!(bits, msg.size_bits(), "packed word out of sync");
-                // Wire-exact: what continues from here is the *decoded*
-                // frame, so the receiving automaton provably depends only
-                // on the bits that were on the wire. The round trip runs
-                // in the engine's reused scratch buffers — no per-frame
-                // allocation.
-                let msg = if wire_exact {
-                    let t0 = codec_profile.then(Instant::now);
-                    let tripped = codec.round_trip(&msg);
-                    if let Some(t0) = t0 {
-                        *codec_ns += t0.elapsed().as_nanos() as u64;
-                        *codec_msgs += 1;
-                    }
-                    match tripped {
-                        Ok(decoded) => decoded,
-                        Err(detail) => {
-                            return Err(SimError::WireMismatch {
-                                node: NodeId(v),
-                                port: Port(p),
-                                round,
-                                detail,
-                            });
-                        }
-                    }
-                } else {
-                    msg
-                };
-                report.messages += 1;
-                report.total_bits += bits;
-                report.max_message_bits = report.max_message_bits.max(bits);
-                round_msgs += 1;
-                let (copies, down) = match injector.as_mut() {
-                    None => (1, false),
-                    Some(inj) => {
-                        let tx = inj.transmit(arc.edge, round);
-                        (tx.copies.len() as u32, tx.down)
-                    }
-                };
-                if let Some(t) = trace.as_mut() {
-                    t.event(&TraceEvent::Send {
-                        round,
-                        sender: v32,
-                        port: p as u32,
-                        bits,
-                        copies,
-                        link_down: down,
-                    });
-                }
-                if copies == 0 {
-                    continue; // dropped on the wire
-                }
-                let to = arc.to.0;
-                let slot = &mut pending[off[to] + rp];
-                match slot {
-                    // only fault duplication can target an occupied slot:
-                    // one sender per edge direction per round
-                    Some((_, existing)) => *existing += copies,
-                    None => *slot = Some((msg, copies)),
-                }
-                *pending_count += u64::from(copies);
-                if recv_mark[to] != epoch {
-                    recv_mark[to] = epoch;
-                    receivers.push(to as u32);
-                }
-            }
-        }
-        if let Some((v, port)) = cut {
-            return Err(SimError::CongestViolation {
-                node: NodeId(v as usize),
-                port,
-                round,
-            });
-        }
-        Ok(round_msgs)
-    }
-
-    /// Sequential replay of a bucketed round on which a shard flagged a
-    /// CONGEST violation, an asymmetric topology, or a wire mismatch.
-    /// The workers left all exchanged batches in their `incoming` slots
-    /// and the pending arena untouched; sorting the packed metadata
-    /// words restores the exact ascending `(sender, port)` order of the
-    /// sequential merge (the words are unique per edge direction), so
-    /// the partial accounting and delivery state at the abort match a
-    /// single-threaded run byte for byte. In wire-exact mode every frame
-    /// is round-tripped again in that order — idempotent for the frames
-    /// that already passed at staging time, and re-deriving the mismatch
-    /// at its exact sequential position for the one that failed (a wire
-    /// error at a lower node beats a violation cut at a higher one,
-    /// matching [`RoundEngine::merge_staged`]'s mid-loop return). Always
-    /// returns the error — this path only runs when one exists.
-    fn merge_bucketed_fallback(&mut self, shards: usize) -> SimError {
-        let round = self.round;
-        let cut = self.scratch[..shards]
-            .iter()
-            .filter_map(|s| s.violation)
-            .min_by_key(|&(v, _)| v);
-        let cut_node = cut.map_or(u32::MAX, |(v, _)| v);
-        let mut entries: Vec<(u64, P::Msg)> = Vec::new();
-        for s in &mut self.scratch[..shards] {
-            for (meta, msgs) in &mut s.incoming[..shards] {
-                entries.extend(meta.drain(..).zip(msgs.drain(..)));
-            }
-        }
-        entries.sort_unstable_by_key(|&(meta, _)| meta);
-        self.round_staged = entries.len() as u64;
-        let epoch = round + 1;
-        for (meta, msg) in entries {
-            let v32 = (meta >> 40) as u32;
-            if v32 >= cut_node {
-                continue;
-            }
-            let (v, p) = (v32 as usize, ((meta >> 20) & 0xF_FFFF) as usize);
-            let rp = self.rev_port[self.off[v] + p];
-            if rp == usize::MAX {
-                return SimError::BrokenTopology {
-                    node: NodeId(v),
-                    port: Port(p),
-                };
-            }
-            let to = self.graph.neighbors(NodeId(v))[p].to.0;
-            let field = meta & META_BITS;
-            let bits = if field == META_BITS {
-                msg.size_bits() // wider than the packed field
-            } else {
-                field
-            };
-            debug_assert_eq!(bits, msg.size_bits(), "packed word out of sync");
-            let msg = if self.config.wire_exact {
-                match self.codec.round_trip(&msg) {
-                    Ok(decoded) => decoded,
-                    Err(detail) => {
-                        return SimError::WireMismatch {
-                            node: NodeId(v),
-                            port: Port(p),
-                            round,
-                            detail,
-                        };
-                    }
-                }
-            } else {
-                msg
-            };
-            self.report.messages += 1;
-            self.report.total_bits += bits;
-            self.report.max_message_bits = self.report.max_message_bits.max(bits);
-            let slot = &mut self.pending[self.off[to] + rp];
-            match slot {
-                Some((_, existing)) => *existing += 1,
-                None => *slot = Some((msg, 1)),
-            }
-            self.pending_count += 1;
-            if self.recv_mark[to] != epoch {
-                self.recv_mark[to] = epoch;
-                self.receivers.push(to as u32);
-            }
-        }
-        // wire and topology errors return mid-loop, so reaching here
-        // means a violation triggered the fallback
-        let (v, port) = cut.expect("fallback without violation implies a wire/topology error");
-        SimError::CongestViolation {
-            node: NodeId(v as usize),
-            port,
-            round,
-        }
     }
 }
 
 /// The **pre-engine reference loop**, retained verbatim as a benchmarking
 /// baseline: per-node `Vec<Vec<(Port, Msg)>>` inboxes with a per-round
-/// `sort_by_key`, a freshly allocated [`Outbox`] per node per round, and a
-/// full scan of all `n` automata every round. Fault-free only. The engine
-/// must produce byte-identical `(nodes, RunReport)` to this loop; the
-/// `engine` bench and experiment E21 measure the speedup against it.
+/// `sort_by_key`, a reverse-port table built by scanning adjacency lists,
+/// a freshly allocated [`Outbox`] per node per round, and a full scan of
+/// all `n` automata every round. Fault-free only. The engine must produce
+/// byte-identical `(nodes, RunReport)` to this loop; the `engine` bench
+/// and experiment E21 measure the speedup against it.
 pub fn run_reference_loop<P: Protocol>(
     graph: &Graph,
     mut nodes: Vec<P>,
@@ -1766,7 +993,22 @@ pub fn run_reference_loop<P: Protocol>(
     let n = graph.node_count();
     assert_eq!(nodes.len(), n, "one automaton per node");
     let ids: Vec<u64> = graph.nodes().map(|v| graph.id_of(v)).collect();
-    let rev = reverse_port_table(graph);
+    let rev: Vec<Vec<Port>> = graph
+        .nodes()
+        .map(|v| {
+            graph
+                .neighbors(v)
+                .iter()
+                .map(|arc| {
+                    let back = graph
+                        .neighbors(arc.to)
+                        .iter()
+                        .position(|a| a.edge == arc.edge);
+                    Port(back.expect("every edge is in both adjacency lists"))
+                })
+                .collect()
+        })
+        .collect();
     let mut inboxes: Vec<Vec<(Port, P::Msg)>> = vec![Vec::new(); n];
     let mut pending: Vec<Vec<(Port, P::Msg)>> = vec![Vec::new(); n];
     let mut report = RunReport::default();
@@ -1809,18 +1051,12 @@ pub fn run_reference_loop<P: Protocol>(
             }
             for (p, slot) in out.into_slots().into_iter().enumerate() {
                 let Some(msg) = slot else { continue };
-                let Some(rp) = rev[v][p] else {
-                    return Err(SimError::BrokenTopology {
-                        node: NodeId(v),
-                        port: Port(p),
-                    });
-                };
                 let bits = msg.size_bits();
                 report.messages += 1;
                 report.total_bits += bits;
                 report.max_message_bits = report.max_message_bits.max(bits);
                 round_msgs += 1;
-                pending[arcs[p].to.0].push((rp, msg));
+                pending[arcs[p].to.0].push((rev[v][p], msg));
             }
         }
         report.peak_messages_per_round = report.peak_messages_per_round.max(round_msgs);
@@ -1897,8 +1133,8 @@ pub struct EpochRun<P> {
 
 /// Runs a protocol across the churn epochs scheduled in `plan`.
 ///
-/// A [`Graph`] is immutable for the lifetime of a [`RoundEngine`], so a
-/// topology change cannot happen mid-run. Instead the driver slices the
+/// A [`Graph`] is immutable for the lifetime of a run, so a topology
+/// change cannot happen mid-run. Instead the driver slices the
 /// execution into **segments**: it runs the current automata until either
 /// they quiesce or the next epoch's round boundary (`ChurnEpoch::at`,
 /// measured in rounds since the segment started) is reached, applies the
@@ -1938,18 +1174,16 @@ where
         let injector = plan
             .has_transient_faults()
             .then(|| FaultInjector::new(plan));
-        let mut engine = RoundEngine::new(&cur, nodes, config, injector);
+        let (mut core, mut engine) = RoundEngine::new(&cur, nodes, config, injector);
         let boundary = plan.epochs.get(i).map_or(u64::MAX, |e| e.at);
-        let quiesced = engine
-            .run_to(boundary, max_rounds)
+        let quiesced = core
+            .run(&mut engine, boundary, max_rounds, None)
             .map_err(|error| EpochError::Sim {
                 epoch: i,
                 error: Box::new(error),
             })?;
-        engine.trace_run_end();
-        let (taken, report) = engine.into_parts();
-        segments.push(report);
-        nodes = taken;
+        segments.push(core.into_report());
+        nodes = engine.into_nodes();
         if let Some(epoch) = plan.epochs.get(i) {
             cut.push(!quiesced);
             let (next, remap) = apply_churn(&cur, &epoch.events)
@@ -1971,45 +1205,9 @@ where
     })
 }
 
-/// Merges two sorted, duplicate-free lists into `out`, deduplicating.
-/// Shared with the socket transport's coordinator, which rebuilds the
-/// same active-set merge over its frame arena.
-pub(crate) fn merge_sorted_dedup(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_dedup_interleaves() {
-        let mut out = Vec::new();
-        merge_sorted_dedup(&[1, 3, 5], &[2, 3, 6], &mut out);
-        assert_eq!(out, vec![1, 2, 3, 5, 6]);
-        out.clear();
-        merge_sorted_dedup(&[], &[4, 9], &mut out);
-        assert_eq!(out, vec![4, 9]);
-    }
 
     #[test]
     fn fan_out_moves_last_copy() {
@@ -2029,7 +1227,6 @@ mod tests {
     fn config_env_parsing_defaults() {
         let cfg = EngineConfig::default();
         assert_eq!(cfg.threads, 1);
-        assert_eq!(cfg.scheduling, Scheduling::ActiveSet);
         assert!(cfg.fast_forward);
         assert_eq!(cfg.dense_pct, 75);
         assert_eq!(cfg.shard_min, 1024);
@@ -2038,7 +1235,6 @@ mod tests {
         assert!(!cfg.codec_profile);
         let cfg = cfg
             .with_threads(4)
-            .with_scheduling(Scheduling::FullScan)
             .with_fast_forward(false)
             .with_dense_pct(50)
             .with_shard_min(32)
@@ -2046,7 +1242,6 @@ mod tests {
             .with_wire_exact(false)
             .with_codec_profile(true);
         assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.scheduling, Scheduling::FullScan);
         assert!(!cfg.fast_forward);
         assert_eq!(cfg.dense_pct, 50);
         assert_eq!(cfg.shard_min, 32);

@@ -1011,6 +1011,40 @@ mod tests {
         assert!(h.has_distinct_weights());
     }
 
+    /// A rebuilt topology carries its own twin-port table: every arc's
+    /// recorded twin matches a scan of the other endpoint.
+    #[test]
+    fn churned_graph_twin_ports_match_scan() {
+        let g = kdom_graph::generators::gnp_connected(
+            &kdom_graph::generators::GenConfig::with_seed(40, 5),
+            0.15,
+        );
+        let id = |v: usize| g.id_of(NodeId(v));
+        let kept = g
+            .edges()
+            .iter()
+            .find(|e| e.u.0 != 7 && e.v.0 != 7)
+            .expect("an edge away from node 7");
+        let events = [
+            ChurnEvent::NodeLeave { id: id(7) },
+            ChurnEvent::EdgeRemove {
+                a: g.id_of(kept.u),
+                b: g.id_of(kept.v),
+            },
+            ChurnEvent::NodeJoin {
+                id: 1_000,
+                links: vec![(id(3), u64::MAX - 1), (id(30), u64::MAX - 2)],
+            },
+        ];
+        let (h, _) = apply_churn(&g, &events).unwrap();
+        for v in h.nodes() {
+            for (p, arc) in h.neighbors(v).iter().enumerate() {
+                let scanned = h.neighbors(arc.to).iter().position(|x| x.edge == arc.edge);
+                assert_eq!(Some(h.twin_port(v, p)), scanned, "twin of {v:?} port {p}");
+            }
+        }
+    }
+
     #[test]
     fn churn_join_appends_node_and_edges() {
         let g = square();

@@ -2,10 +2,10 @@
 //! scheduler, and a content-addressed result cache.
 //!
 //! Historically a "run" was whatever the environment happened to say:
-//! `KDOM_THREADS`, `KDOM_SCHED`, `KDOM_WIRE`, … were read at scattered
+//! `KDOM_THREADS`, `KDOM_FASTFWD`, `KDOM_WIRE`, … were read at scattered
 //! call sites, so two runs were comparable only if the shell that
 //! launched them was identical. [`RunSpec`] makes the run an explicit
-//! *value* — algorithm, `k`, seed, scheduler mode, worker threads, wire
+//! *value* — algorithm, `k`, seed, schedule knobs, worker threads, wire
 //! mode, fault plan, trace toggle — with [`RunSpec::from_env`] as the
 //! one adapter that still speaks the old knob dialect. Everything
 //! downstream (the engine config, the executor, the cache key) is
@@ -43,7 +43,7 @@ use std::thread::JoinHandle;
 
 use kdom_graph::Graph;
 
-use crate::engine::{EngineConfig, Scheduling};
+use crate::engine::EngineConfig;
 use crate::faults::FaultPlan;
 use crate::report::RunReport;
 use crate::sim::SimError;
@@ -157,8 +157,6 @@ pub struct RunSpec {
     pub seed: u64,
     /// Round-engine worker threads (see [`EngineConfig::threads`]).
     pub threads: usize,
-    /// Node-scheduling policy (see [`EngineConfig::scheduling`]).
-    pub scheduling: Scheduling,
     /// Quiescence fast-forward (see [`EngineConfig::fast_forward`]).
     pub fast_forward: bool,
     /// Dense-scan fallback threshold (see [`EngineConfig::dense_pct`]).
@@ -186,7 +184,6 @@ impl Default for RunSpec {
             k: 0,
             seed: 0,
             threads: engine.threads,
-            scheduling: engine.scheduling,
             fast_forward: engine.fast_forward,
             dense_pct: engine.dense_pct,
             shard_min: engine.shard_min,
@@ -223,12 +220,6 @@ impl RunSpec {
         self
     }
 
-    /// Returns the spec with the scheduling policy replaced.
-    pub fn with_scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.scheduling = scheduling;
-        self
-    }
-
     /// Returns the spec with wire-exact execution enabled or not.
     pub fn with_wire_exact(mut self, on: bool) -> Self {
         self.wire_exact = on;
@@ -259,7 +250,6 @@ impl RunSpec {
     pub fn engine_config(&self) -> EngineConfig {
         EngineConfig {
             threads: self.threads,
-            scheduling: self.scheduling,
             fast_forward: self.fast_forward,
             dense_pct: self.dense_pct,
             shard_min: self.shard_min,
@@ -335,7 +325,6 @@ impl RunSpec {
             k: knob("KDOM_K", 0u64),
             seed,
             threads: engine.threads,
-            scheduling: engine.scheduling,
             fast_forward: engine.fast_forward,
             dense_pct: engine.dense_pct,
             shard_min: engine.shard_min,
@@ -351,20 +340,16 @@ impl RunSpec {
     /// stream, so permuted collections cannot collide structurally):
     /// specs differing in *any* field — seed, `k`, wire mode, thread
     /// count, fault plan, trace toggle — hash differently by
-    /// construction. Threads and scheduling are included even though
-    /// the engine's outputs are byte-identical across them: the service
-    /// caches *runs*, and a run's identity is its full spec.
+    /// construction. Threads and the schedule knobs are included even
+    /// though the engine's outputs are byte-identical across them: the
+    /// service caches *runs*, and a run's identity is its full spec.
     pub fn canonical_hash(&self) -> u64 {
         let mut h = Fnv::new();
-        h.word(1); // spec schema version
+        h.word(2); // spec schema version
         h.word(self.algo.tag());
         h.word(self.k);
         h.word(self.seed);
         h.word(self.threads as u64);
-        h.word(match self.scheduling {
-            Scheduling::FullScan => 0,
-            Scheduling::ActiveSet => 1,
-        });
         h.word(u64::from(self.fast_forward));
         h.word(self.dense_pct as u64);
         h.word(self.shard_min as u64);
@@ -1089,7 +1074,6 @@ mod tests {
             base.clone().with_wire_exact(!base.wire_exact),
             base.clone().with_threads(2),
             base.clone().with_algo(Algo::Bfs),
-            base.clone().with_scheduling(Scheduling::FullScan),
             base.clone()
                 .with_exec(ExecSpec::ReliableAlpha { max_delay: 4 }),
             base.clone().with_faults(FaultPlan::new(0).drop_prob(0.1)),

@@ -69,6 +69,7 @@ pub mod faults;
 pub mod jobs;
 pub mod reliable;
 mod report;
+mod round;
 mod sim;
 pub mod trace;
 pub mod transport;
@@ -82,7 +83,7 @@ pub use chaos::{
     gen_schedule, gen_schedule_with_mix, random_epoch, shrink, ChaosConfig, ChaosSchedule,
     EventMix, ShrinkReport,
 };
-pub use engine::{run_epochs, EngineConfig, EpochError, EpochRun, Scheduling};
+pub use engine::{run_epochs, EngineConfig, EpochError, EpochRun};
 pub use events::{EventQueue, TimerHeap};
 pub use faults::{
     apply_churn, ChurnEpoch, ChurnError, ChurnEvent, ChurnRemap, FaultInjector, FaultPlan,

@@ -7,6 +7,7 @@ use kdom_graph::graph::{Arc, Graph, NodeId};
 use crate::engine::{EngineConfig, RoundEngine};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::report::RunReport;
+use crate::round::{Observer, RoundCore};
 
 /// A message that can travel over an edge.
 ///
@@ -340,14 +341,6 @@ pub enum SimError {
         /// The round in which it happened.
         round: u64,
     },
-    /// An edge was present in one endpoint's adjacency list but not the
-    /// other's — a corrupted topology.
-    BrokenTopology {
-        /// The sending node.
-        node: NodeId,
-        /// The port with no reverse entry.
-        port: Port,
-    },
     /// A user-registered per-round invariant check failed.
     InvariantViolation {
         /// Round at which the check failed.
@@ -411,10 +404,6 @@ impl fmt::Display for SimError {
                 f,
                 "CONGEST violation: {node:?} sent two messages on {port:?} in round {round}"
             ),
-            SimError::BrokenTopology { node, port } => write!(
-                f,
-                "broken topology: edge at {node:?} {port:?} is missing from its other endpoint"
-            ),
             SimError::InvariantViolation {
                 round,
                 name,
@@ -470,13 +459,15 @@ type InvariantFn<P> = Box<dyn FnMut(&InvariantView<'_, P>) -> Result<(), String>
 
 /// Deterministic lockstep executor of a [`Protocol`] over a graph.
 ///
-/// A thin shell over the shared [`crate::engine`] core: the round loop,
-/// message arena, scheduling, and (optional) parallel compute phase all
-/// live there; this type adds the invariant hooks and the public
-/// surface. Construction via [`Simulator::new`] reads the engine
-/// configuration from the environment (`KDOM_THREADS`, `KDOM_SCHED`);
-/// use [`Simulator::with_config`] to pin it explicitly.
+/// A thin shell over the shared round core (the round loop, message
+/// arena, and scheduling) driving the in-process [`crate::engine`]
+/// backend (the automata and the optional parallel compute phase); this
+/// type adds the invariant hooks and the public surface. Construction
+/// via [`Simulator::new`] reads the engine configuration from the
+/// environment ([`EngineConfig::from_env`]); use
+/// [`Simulator::with_config`] to pin it explicitly.
 pub struct Simulator<'g, P: Protocol> {
+    core: RoundCore<'g, P::Msg>,
     engine: RoundEngine<'g, P>,
     invariants: Vec<(String, InvariantFn<P>)>,
 }
@@ -498,8 +489,19 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     ///
     /// Panics if `nodes.len() != graph.node_count()`.
     pub fn with_config(graph: &'g Graph, nodes: Vec<P>, config: EngineConfig) -> Self {
+        Self::build(graph, nodes, config, None)
+    }
+
+    fn build(
+        graph: &'g Graph,
+        nodes: Vec<P>,
+        config: EngineConfig,
+        injector: Option<FaultInjector>,
+    ) -> Self {
+        let (core, engine) = RoundEngine::new(graph, nodes, config, injector);
         Simulator {
-            engine: RoundEngine::new(graph, nodes, config, None),
+            core,
+            engine,
             invariants: Vec::new(),
         }
     }
@@ -522,7 +524,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// Like [`Simulator::with_faults`] with an explicit engine
     /// configuration. The injected fault stream is part of the
     /// deterministic run: it is identical across thread counts and
-    /// scheduling policies.
+    /// schedules.
     ///
     /// # Panics
     ///
@@ -533,10 +535,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         plan: &FaultPlan,
         config: EngineConfig,
     ) -> Self {
-        Simulator {
-            engine: RoundEngine::new(graph, nodes, config, Some(FaultInjector::new(plan))),
-            invariants: Vec::new(),
-        }
+        Self::build(graph, nodes, config, Some(FaultInjector::new(plan)))
     }
 
     /// Registers a per-round invariant check, run after every round; a
@@ -557,17 +556,17 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 
     /// Consumes the simulator, returning the automata and the report.
     pub fn into_parts(self) -> (Vec<P>, RunReport) {
-        self.engine.into_parts()
+        (self.engine.into_nodes(), self.core.into_report())
     }
 
     /// Statistics accumulated so far.
     pub fn report(&self) -> &RunReport {
-        self.engine.report()
+        self.core.report()
     }
 
     /// Whether every surviving node is done and no messages are in flight.
     pub fn quiescent(&self) -> bool {
-        self.engine.quiescent()
+        self.core.quiescent()
     }
 
     /// Attaches a [`TraceSink`](crate::trace::TraceSink) for this run,
@@ -575,21 +574,25 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// immediately receives the `run_start` event; the final report is
     /// emitted when [`Simulator::run`] reaches quiescence.
     pub fn set_trace(&mut self, sink: Box<dyn crate::trace::TraceSink>) {
-        self.engine.attach_trace(Some(sink));
+        self.core.attach_trace(Some(sink));
     }
 
     /// Skips ahead over provably-empty rounds without executing them
-    /// (bounded by `limit`); a no-op unless the engine is idle-parked.
-    /// [`Simulator::run`] calls this automatically — it is public so
-    /// instrumented drivers (the bench harness's round profiler) can
-    /// interleave skips with hand-timed [`Simulator::step`] calls.
+    /// (bounded by `limit`): when no message is queued and no node
+    /// ticks, every round before the next timer wake or scheduled crash
+    /// is empty, and the round counter jumps there in O(1) with a
+    /// byte-identical report. A no-op unless the run is idle-parked, or
+    /// when [`EngineConfig::fast_forward`] is off. [`Simulator::run`]
+    /// calls this automatically — it is public so instrumented drivers
+    /// (the bench harness's round profiler) can interleave skips with
+    /// hand-timed [`Simulator::step`] calls.
     pub fn fast_forward(&mut self, limit: u64) {
-        self.engine.fast_forward(limit);
+        self.core.fast_forward(limit);
     }
 
     /// `(jumps, skipped_rounds)` taken by quiescence fast-forward so far.
     pub fn fast_forward_stats(&self) -> (u64, u64) {
-        self.engine.fast_forward_stats()
+        self.core.fast_forward_stats()
     }
 
     /// `(nanoseconds, round_trips)` spent in the wire codec so far; all
@@ -606,33 +609,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// # Errors
     ///
     /// Returns [`SimError::CongestViolation`] on a double send and
-    /// [`SimError::BrokenTopology`] on an asymmetric adjacency list.
+    /// [`SimError::WireMismatch`] when a wire-exact round trip fails.
     pub fn step(&mut self) -> Result<(), SimError> {
-        self.engine.step()
-    }
-
-    fn check_invariants(&mut self) -> Result<(), SimError> {
-        if self.invariants.is_empty() {
-            return Ok(());
-        }
-        // The arena is flattened; rebuild the legacy per-node queue shape
-        // the invariant API exposes (only paid when checks are registered).
-        let pending = self.engine.materialize_pending();
-        let view = InvariantView {
-            round: self.engine.round(),
-            nodes: self.engine.nodes(),
-            pending: &pending,
-        };
-        for (name, check) in &mut self.invariants {
-            if let Err(detail) = check(&view) {
-                return Err(SimError::InvariantViolation {
-                    round: view.round,
-                    name: name.clone(),
-                    detail,
-                });
-            }
-        }
-        Ok(())
+        self.core.step(&mut self.engine)
     }
 
     /// Runs until quiescence or until `max_rounds` rounds were executed.
@@ -651,36 +630,43 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// `max_rounds` rounds, and propagates every error of [`Self::step`]
     /// and of registered invariant checks.
     pub fn run(&mut self, max_rounds: u64) -> Result<RunReport, SimError> {
-        let fast_forward = self.invariants.is_empty();
-        loop {
-            if self.engine.quiescent() {
-                break;
-            }
-            if fast_forward {
-                self.engine.fast_forward(max_rounds);
-                // the jump may have landed on a crash that excuses the
-                // last unfinished nodes
-                if self.engine.quiescent() {
-                    break;
+        let Simulator {
+            core,
+            engine,
+            invariants,
+        } = self;
+        let observed = !invariants.is_empty();
+        let mut check = |core: &RoundCore<'g, P::Msg>, engine: &RoundEngine<'g, P>| {
+            // The arena is flattened; rebuild the legacy per-node queue
+            // shape the invariant API exposes (only paid when checks are
+            // registered).
+            let pending = core.materialize_pending();
+            let view = InvariantView {
+                round: core.round,
+                nodes: engine.nodes(),
+                pending: &pending,
+            };
+            for (name, check) in invariants.iter_mut() {
+                if let Err(detail) = check(&view) {
+                    return Err(SimError::InvariantViolation {
+                        round: view.round,
+                        name: name.clone(),
+                        detail,
+                    });
                 }
             }
-            if self.engine.round() >= max_rounds {
-                return Err(SimError::RoundLimitExceeded {
-                    limit: max_rounds,
-                    stall: self.engine.stall_report(),
-                });
-            }
-            self.engine.step()?;
-            self.check_invariants()?;
-        }
-        self.engine.trace_run_end();
-        Ok(self.engine.report().clone())
+            Ok(())
+        };
+        let observe: Option<&mut Observer<'_, _, _>> =
+            if observed { Some(&mut check) } else { None };
+        core.run(engine, u64::MAX, max_rounds, observe)?;
+        Ok(core.report().clone())
     }
 }
 
 /// Convenience: builds a simulator, runs it to quiescence, and returns the
 /// automata plus the report. The engine configuration comes from the
-/// environment (`KDOM_THREADS`, `KDOM_SCHED`).
+/// environment ([`EngineConfig::from_env`]).
 ///
 /// # Errors
 ///
@@ -743,7 +729,6 @@ pub fn run_protocol_faulty_with<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::reverse_port_table;
     use kdom_graph::generators::{path, star, GenConfig};
     use kdom_graph::properties::bfs_distances;
 
@@ -971,19 +956,6 @@ mod tests {
         let (_, report) = run_protocol(&g, nodes, 10).unwrap();
         assert_eq!(report.messages, 1);
         assert_eq!(report.rounds, 2);
-    }
-
-    #[test]
-    fn reverse_port_table_matches_scan() {
-        let g = kdom_graph::generators::gnp_connected(&GenConfig::with_seed(40, 5), 0.15);
-        let table = reverse_port_table(&g);
-        for (v, row) in table.iter().enumerate() {
-            for (p, arc) in g.neighbors(NodeId(v)).iter().enumerate() {
-                let rp = row[p].expect("consistent graph");
-                assert_eq!(g.neighbors(arc.to)[rp.0].edge, arc.edge);
-                assert_eq!(g.neighbors(arc.to)[rp.0].to, NodeId(v));
-            }
-        }
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! split of responsibilities keeps the distributed run byte-identical to
 //! the in-process engine:
 //!
-//! - The **coordinator** ([`coordinate`]) owns everything global and
-//!   order-sensitive: the round clock, the wake-driven schedule (ticking
-//!   list, [`TimerHeap`], receiver epochs — the exact structures of
-//!   [`RoundEngine`](crate::engine)), the fault injector (whose RNG must
-//!   advance in the sequential replay order), the trace sink, and the
-//!   [`RunReport`] accounting. It never decodes a message: payloads move
-//!   through it as opaque `(words, bits)` frames.
+//! - The **coordinator** ([`coordinate`]) drives the same round core as
+//!   the in-process engine, with the socket fleet as its compute
+//!   backend: the core owns everything global and order-sensitive — the
+//!   round clock, the wake-driven schedule, the fault injector (whose
+//!   RNG must advance in the sequential replay order), the trace sink,
+//!   and the [`RunReport`] accounting — while the coordinator only ships
+//!   work orders out and merges replies back. It never decodes a
+//!   message: payloads move through it as opaque `(words, bits)` frames.
 //! - Each **worker** ([`run_worker`]) owns a contiguous shard of the
 //!   automata and is the only place protocol code runs. Workers decode
 //!   their inbound frames and encode their outbound ones, so wire-exact
@@ -21,12 +22,13 @@
 //!   check on every staged send (a mismatch aborts the run with
 //!   [`SimError::WireMismatch`], reported through a typed `Abort` frame).
 //!
-//! Because the coordinator replays sends in the same ascending
-//! `(sender, port)` order as the engine's sequential merge — including
-//! the fault injector's [`transmit`](crate::FaultInjector::transmit)
-//! calls — a distributed run produces the same [`RunReport`] and the
-//! same JSONL trace, byte for byte, as `Simulator::run` on one process.
-//! `tests/transport_parity.rs` pins this.
+//! Because the coordinator feeds sends to the core's merge in the same
+//! ascending `(sender, port)` order as the engine — including the fault
+//! injector's [`transmit`](crate::FaultInjector::transmit) calls — a
+//! distributed run produces the same [`RunReport`] and the same JSONL
+//! trace, byte for byte, as `Simulator::run` on one process.
+//! `tests/transport_parity.rs` pins this, with and without transient
+//! faults.
 //!
 //! Crash-stop faults are deliberately unsupported here: in a
 //! multi-process run a "crashed node" is modelled by killing its worker
@@ -47,18 +49,18 @@ use std::time::{Duration, Instant};
 
 use kdom_graph::graph::{Graph, NodeId};
 
-use crate::engine::{execute_node_round, merge_sorted_dedup, EngineConfig, Scheduling};
-use crate::events::TimerHeap;
+use crate::engine::{execute_node_round, EngineConfig};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::report::RunReport;
-use crate::sim::{Port, Protocol, SimError, StallReport, Wake};
-use crate::trace::{TraceEvent, TraceSink};
+use crate::round::{fixed_memory, staged_bytes, NodeOutcome, RoundBackend, RoundCore};
+use crate::sim::{Port, Protocol, SimError};
+use crate::trace::TraceSink;
 use crate::wire::{decode_from, encode_to, BitReader, BitWriter, Wire, WireError};
 
 /// Protocol version carried in the handshake; bumped on any change to
 /// the control frame layout. A mismatch aborts with
 /// [`SimError::PeerLost`] instead of silently misparsing frames.
-pub const TRANSPORT_VERSION: u32 = 1;
+pub const TRANSPORT_VERSION: u32 = 2;
 
 /// Magic word opening every byte frame (`"KDOM"` little-endian-ish).
 pub const FRAME_MAGIC: u32 = 0x4B44_4F4D;
@@ -388,7 +390,7 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// A node's requested schedule for the next round, as shipped back by a
-/// worker — the wire form of the engine's internal outcome (crash-stop
+/// worker — the wire form of the round core's node outcome (crash-stop
 /// is excluded: process death models crashes over the transport).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireOutcome {
@@ -400,6 +402,30 @@ pub enum WireOutcome {
     Sleep,
     /// Timer-armed for the given future round.
     Park(u64),
+}
+
+impl WireOutcome {
+    /// The wire form of `node`'s schedule request after `round`.
+    fn after<P: Protocol>(node: &P, round: u64) -> Self {
+        match NodeOutcome::after(node, round) {
+            NodeOutcome::Done => WireOutcome::Done,
+            NodeOutcome::Tick => WireOutcome::Tick,
+            NodeOutcome::Sleep => WireOutcome::Sleep,
+            NodeOutcome::Park(r) => WireOutcome::Park(r),
+            NodeOutcome::Crashed => unreachable!("a stepped node has not crashed"),
+        }
+    }
+}
+
+impl From<WireOutcome> for NodeOutcome {
+    fn from(w: WireOutcome) -> Self {
+        match w {
+            WireOutcome::Done => NodeOutcome::Done,
+            WireOutcome::Tick => NodeOutcome::Tick,
+            WireOutcome::Sleep => NodeOutcome::Sleep,
+            WireOutcome::Park(r) => NodeOutcome::Park(r),
+        }
+    }
 }
 
 /// One staged send leaving a worker: the sender-side port plus the
@@ -445,10 +471,8 @@ pub struct StartEntry {
 pub struct NodeResult {
     /// The node that ran.
     pub node: u32,
-    /// Its schedule request (`None` under full-scan scheduling when the
-    /// done flag did not transition — the engine records only changes
-    /// there).
-    pub outcome: Option<WireOutcome>,
+    /// Its schedule request.
+    pub outcome: WireOutcome,
     /// Port of the first CONGEST violation (double send), if any.
     pub violation: Option<u32>,
     /// Its staged sends, ascending by port.
@@ -481,9 +505,6 @@ pub enum Ctl {
     Welcome {
         /// Heartbeat/read deadline in milliseconds.
         timeout_ms: u64,
-        /// Whether scheduling is full-scan (workers then report only
-        /// done-flag transitions, mirroring the engine).
-        full_scan: bool,
     },
     /// Coordinator → worker: step these nodes for `round`.
     Start {
@@ -643,14 +664,13 @@ impl Wire for NodeResult {
     fn encode(&self, w: &mut BitWriter) {
         w.u32(self.node);
         let idx = match self.outcome {
-            None => 0,
-            Some(WireOutcome::Done) => 1,
-            Some(WireOutcome::Tick) => 2,
-            Some(WireOutcome::Sleep) => 3,
-            Some(WireOutcome::Park(_)) => 4,
+            WireOutcome::Done => 0,
+            WireOutcome::Tick => 1,
+            WireOutcome::Sleep => 2,
+            WireOutcome::Park(_) => 3,
         };
-        w.tag(idx, 5);
-        if let Some(WireOutcome::Park(at)) = self.outcome {
+        w.tag(idx, 4);
+        if let WireOutcome::Park(at) = self.outcome {
             w.push(at, 64);
         }
         w.opt_u32(self.violation);
@@ -662,18 +682,11 @@ impl Wire for NodeResult {
 
     fn decode(r: &mut BitReader<'_>) -> Result<Self, WireError> {
         let node = r.u32()?;
-        let outcome = match r.tag(5)? {
-            0 => None,
-            1 => Some(WireOutcome::Done),
-            2 => Some(WireOutcome::Tick),
-            3 => Some(WireOutcome::Sleep),
-            4 => Some(WireOutcome::Park(r.pull(64)?)),
-            value => {
-                return Err(WireError::BadTag {
-                    context: "node outcome",
-                    value,
-                })
-            }
+        let outcome = match r.tag(4)? {
+            0 => WireOutcome::Done,
+            1 => WireOutcome::Tick,
+            2 => WireOutcome::Sleep,
+            _ => WireOutcome::Park(r.pull(64)?), // two tag bits, four variants
         };
         let violation = r.opt_u32()?;
         let len = r.u32()?;
@@ -714,13 +727,9 @@ impl Wire for Ctl {
                     w.flag(d);
                 }
             }
-            Ctl::Welcome {
-                timeout_ms,
-                full_scan,
-            } => {
+            Ctl::Welcome { timeout_ms } => {
                 w.tag(1, CTL_VARIANTS);
                 w.push(*timeout_ms, 64);
-                w.flag(*full_scan);
             }
             Ctl::Start { round, entries } => {
                 w.tag(2, CTL_VARIANTS);
@@ -788,7 +797,6 @@ impl Wire for Ctl {
             }
             1 => Ctl::Welcome {
                 timeout_ms: r.pull(64)?,
-                full_scan: r.flag()?,
             },
             2 => {
                 let round = r.pull(64)?;
@@ -884,29 +892,6 @@ pub struct WorkerOpts {
     pub die_at_round: Option<u64>,
 }
 
-/// The engine's fixed-memory constant for protocol `P` on `graph`,
-/// computed with the exact formula `RoundEngine::new` uses (the graph
-/// CSR, ids, offset and reverse-port tables, both arenas, per-node
-/// schedule state, and the automata). Workers ship this in their
-/// handshake so the coordinator's `peak_memory_bytes` — and therefore
-/// the whole [`RunReport`] — matches the in-process run bit for bit.
-fn engine_fixed_mem<P: Protocol>(graph: &Graph) -> u64 {
-    let n = graph.node_count();
-    let acc: usize = (0..n).map(|v| graph.degree(NodeId(v))).sum();
-    let usize_b = std::mem::size_of::<usize>() as u64;
-    graph.memory_bytes()
-        + (n as u64) * 8
-        + ((n + 1) as u64 + acc as u64) * usize_b
-        + 2 * (acc as u64) * std::mem::size_of::<Option<(P::Msg, u32)>>() as u64
-        + (n as u64) * 17
-        + (n as u64) * std::mem::size_of::<P>() as u64
-}
-
-/// Bytes one staged send occupies in the engine's packed slab.
-fn staged_bytes_of<P: Protocol>() -> u64 {
-    8 + std::mem::size_of::<P::Msg>() as u64
-}
-
 fn lost_coord(round: u64, what: &str, e: &io::Error) -> SimError {
     SimError::PeerLost {
         peer: u32::MAX,
@@ -954,7 +939,6 @@ pub fn run_worker<P: Protocol>(
     let (lo, hi) = (bounds[opts.shard], bounds[opts.shard + 1]);
     let ids: Vec<u64> = (0..n).map(|v| graph.id_of(NodeId(v))).collect();
     let mut nodes: Vec<P> = (lo..hi).map(|v| make(v, ids[v])).collect();
-    let mut done_flag: Vec<bool> = nodes.iter().map(Protocol::is_done).collect();
 
     // Connect with retry: the coordinator may not be listening yet when
     // the process fleet launches.
@@ -979,9 +963,9 @@ pub fn run_worker<P: Protocol>(
             shard: opts.shard as u32,
             shards: opts.shards as u32,
             graph_hash: graph_fingerprint(graph),
-            fixed_mem: engine_fixed_mem::<P>(graph),
-            staged_bytes: staged_bytes_of::<P>(),
-            done: done_flag.clone(),
+            fixed_mem: fixed_memory::<P>(graph),
+            staged_bytes: staged_bytes::<P>(),
+            done: nodes.iter().map(Protocol::is_done).collect(),
         },
     )
     .map_err(|e| lost_coord(0, "handshake send", &e))?;
@@ -989,11 +973,8 @@ pub fn run_worker<P: Protocol>(
     // legitimately compute for a long time while this worker waits for
     // its next Start. Liveness toward the coordinator is the heartbeat
     // thread's job; a dead coordinator surfaces here as EOF.
-    let (timeout_ms, full_scan) = match bufs.recv(&mut conn) {
-        Ok(Ctl::Welcome {
-            timeout_ms,
-            full_scan,
-        }) => (timeout_ms, full_scan),
+    let timeout_ms = match bufs.recv(&mut conn) {
+        Ok(Ctl::Welcome { timeout_ms }) => timeout_ms,
         Ok(other) => {
             return Err(SimError::PeerLost {
                 peer: u32::MAX,
@@ -1039,8 +1020,6 @@ pub fn run_worker<P: Protocol>(
         &ids,
         lo,
         &mut nodes,
-        &mut done_flag,
-        full_scan,
         &harvest,
         opts.die_at_round,
         &mut conn,
@@ -1065,8 +1044,6 @@ fn worker_loop<P: Protocol>(
     ids: &[u64],
     lo: usize,
     nodes: &mut [P],
-    done_flag: &mut [bool],
-    full_scan: bool,
     harvest: &impl Fn(&P) -> u64,
     die_at_round: Option<u64>,
     conn: &mut Conn,
@@ -1181,34 +1158,9 @@ fn worker_loop<P: Protocol>(
                             words: enc_scratch.clone(),
                         });
                     }
-                    let local = v - lo;
-                    let now_done = nodes[local].is_done();
-                    let outcome = if !full_scan {
-                        Some(if now_done {
-                            WireOutcome::Done
-                        } else {
-                            match nodes[local].next_wake(round) {
-                                Wake::EveryRound => WireOutcome::Tick,
-                                Wake::OnMessage => WireOutcome::Sleep,
-                                Wake::At(r) if r > round + 1 => WireOutcome::Park(r),
-                                Wake::At(_) => WireOutcome::Tick,
-                            }
-                        })
-                    } else if now_done != done_flag[local] {
-                        // full-scan scheduling records only transitions,
-                        // exactly like the engine's non-tracking shard
-                        Some(if now_done {
-                            WireOutcome::Done
-                        } else {
-                            WireOutcome::Tick
-                        })
-                    } else {
-                        None
-                    };
-                    done_flag[local] = now_done;
                     results.push(NodeResult {
                         node: entry.node,
-                        outcome,
+                        outcome: WireOutcome::after(&nodes[v - lo], round),
                         violation: violation.map(|p| p.0 as u32),
                         sends,
                     });
@@ -1242,10 +1194,11 @@ fn worker_loop<P: Protocol>(
 pub struct CoordOpts {
     /// Worker process count (each owns one contiguous node shard).
     pub shards: usize,
-    /// Engine configuration. `scheduling`, `fast_forward`, `dense_pct`,
-    /// and `bit_budget` apply exactly as in-process; `threads` and
-    /// `shard_min` are meaningless here (parallelism is the process
-    /// fleet) and are ignored.
+    /// Engine configuration. `fast_forward`, `dense_pct`, and
+    /// `bit_budget` apply exactly as in-process; `threads`, `shard_min`,
+    /// `wire_exact`, and `codec_profile` are meaningless here
+    /// (parallelism is the process fleet, and workers always check every
+    /// frame) and are ignored.
     pub config: EngineConfig,
     /// Transient-fault plan (drops, duplication, link down-intervals).
     /// Crash-stop schedules are rejected: kill a worker process to
@@ -1268,15 +1221,12 @@ pub struct DistOutcome {
     pub outputs: Vec<u64>,
 }
 
-/// An opaque queued frame in the coordinator's message arena: the
-/// process-level analogue of the engine's `Slot<Msg>`, with the sender
-/// kept for error attribution.
-type CSlot = Option<CFrame>;
-
-struct CFrame {
+/// An opaque frame queued in the round core's arena on the
+/// coordinator: the encoded message, with its sender kept for error
+/// attribution.
+struct Frame {
     words: Vec<u64>,
     bits: u64,
-    copies: u32,
     sender: u32,
     sender_port: u32,
 }
@@ -1322,178 +1272,35 @@ impl WorkerLink {
     }
 }
 
-/// The coordinator's replica of the engine's schedule and accounting
-/// state — field for field the structures `RoundEngine` keeps, minus
-/// the automata (those live in the workers) and plus the socket links.
-struct Coord<'g> {
-    graph: &'g Graph,
-    config: EngineConfig,
-    off: Vec<usize>,
-    rev_port: Vec<usize>,
-    bounds: Vec<usize>,
+/// The worker fleet as the round core's compute backend: each round it
+/// ships every worker its shard of the active nodes, with their queued
+/// frames, and merges the replies back into the core.
+struct Fleet {
     links: Vec<WorkerLink>,
-    inbox: Vec<CSlot>,
-    pending: Vec<CSlot>,
-    pending_count: u64,
-    recv_mark: Vec<u64>,
-    receivers: Vec<u32>,
-    ticking: Vec<u32>,
-    timers: TimerHeap,
-    due: Vec<u32>,
-    merged: Vec<u32>,
-    active: Vec<u32>,
-    done_flag: Vec<bool>,
-    live_undone: usize,
-    first_step: bool,
-    round: u64,
-    report: RunReport,
-    injector: Option<FaultInjector>,
-    last_activity: u64,
-    trace: Option<Box<dyn TraceSink>>,
-    fixed_mem: u64,
-    staged_bytes: u64,
-    round_staged: u64,
+    bounds: Vec<usize>,
+    /// Per-round scratch: the sends to merge, in ascending
+    /// `(sender, port)` order.
+    sends: Vec<Frame>,
     /// Per-round scratch: `(node, outcome)` in ascending node order.
-    sched: Vec<(u32, Option<WireOutcome>)>,
-    /// Per-round scratch: staged sends in ascending `(sender, port)`.
-    staged: Vec<(u32, u32, CFrame)>,
-    /// First CONGEST violation this round, by node order.
-    violation: Option<(u32, u32)>,
+    outcomes: Vec<(u32, NodeOutcome)>,
 }
 
-impl Coord<'_> {
-    fn quiescent(&self) -> bool {
-        self.pending_count == 0 && self.live_undone == 0
-    }
-
-    fn queued_at(&self, v: usize) -> usize {
-        self.pending[self.off[v]..self.off[v + 1]]
-            .iter()
-            .filter_map(|s| s.as_ref().map(|f| f.copies as usize))
-            .sum()
-    }
-
-    fn stall_report(&self) -> StallReport {
-        // no crash-stop over the transport: every node is live
-        let mut pending: Vec<(NodeId, usize)> = self
-            .receivers
-            .iter()
-            .map(|&v| (NodeId(v as usize), self.queued_at(v as usize)))
-            .filter(|&(_, depth)| depth > 0)
-            .collect();
-        pending.sort_unstable_by_key(|&(v, _)| v.0);
-        StallReport {
-            not_done: (0..self.done_flag.len())
-                .filter(|&v| !self.done_flag[v])
-                .map(NodeId)
-                .collect(),
-            pending,
-            last_activity: self.last_activity,
-            crashed: Vec::new(),
-            live: (0..self.done_flag.len()).map(NodeId).collect(),
-            stopped_at: self.round,
-        }
-    }
-
-    /// The engine's quiescence fast-forward, verbatim (no crash events
-    /// to clamp the jump here).
-    fn fast_forward(&mut self, limit: u64) {
-        if !self.config.fast_forward
-            || self.config.scheduling == Scheduling::FullScan
-            || self.first_step
-            || self.pending_count != 0
-            || !self.ticking.is_empty()
-        {
-            return;
-        }
-        let mut target = limit;
-        if let Some(wake) = self.timers.next_valid() {
-            if wake <= self.round {
-                return;
-            }
-            target = target.min(wake);
-        }
-        if target <= self.round {
-            return;
-        }
-        if let Some(t) = self.trace.as_mut() {
-            t.event(&TraceEvent::FastForward {
-                from: self.round,
-                to: target,
-            });
-        }
-        self.round = target;
-        self.report.rounds = target;
-    }
-
-    /// One distributed round: the engine's `step`, with the compute
-    /// phase farmed out over the sockets and the merge replayed here in
-    /// the exact sequential order.
-    fn step(&mut self) -> Result<(), SimError> {
-        let n = self.graph.node_count();
-        if let Some(t) = self.trace.as_mut() {
-            t.event(&TraceEvent::Round { round: self.round });
-        }
-        std::mem::swap(&mut self.inbox, &mut self.pending);
-        self.pending_count = 0;
-        self.timers.pop_due(self.round, &mut self.due);
-        self.active.clear();
-        let estimate = self.ticking.len() + self.due.len() + self.receivers.len();
-        if self.first_step
-            || self.config.scheduling == Scheduling::FullScan
-            || estimate * 100 >= n.saturating_mul(self.config.dense_pct)
-        {
-            self.active.extend(0..n as u32);
-        } else {
-            self.receivers.sort_unstable();
-            self.merged.clear();
-            merge_sorted_dedup(&self.ticking, &self.due, &mut self.merged);
-            merge_sorted_dedup(&self.merged, &self.receivers, &mut self.active);
-        }
-        self.first_step = false;
-        self.receivers.clear();
-
-        self.dispatch_round()?;
-        let round_msgs = self.merge_staged()?;
-        self.apply_schedule();
-        self.report.peak_memory_bytes = self
-            .report
-            .peak_memory_bytes
-            .max(self.fixed_mem + self.round_staged * self.staged_bytes);
-        if let Some(inj) = &self.injector {
-            self.report.dropped_messages = inj.dropped();
-            self.report.duplicated_messages = inj.duplicated();
-        }
-        self.report.peak_messages_per_round = self.report.peak_messages_per_round.max(round_msgs);
-        if round_msgs > 0 {
-            self.last_activity = self.round;
-        }
-        self.round += 1;
-        self.report.rounds = self.round;
-        Ok(())
-    }
-
-    /// Sends every worker its shard of the active set (taking the
-    /// queued inbox slots along), then collects the replies into the
-    /// round's `sched`/`staged`/`violation` scratch.
-    fn dispatch_round(&mut self) -> Result<(), SimError> {
-        let shards = self.links.len();
-        let round = self.round;
-        for s in 0..shards {
+impl RoundBackend<Frame> for Fleet {
+    fn execute(&mut self, core: &mut RoundCore<'_, Frame>) -> Result<(), SimError> {
+        let round = core.round;
+        for (s, link) in self.links.iter_mut().enumerate() {
             let (lo, hi) = (self.bounds[s] as u32, self.bounds[s + 1] as u32);
-            let from = self.active.partition_point(|&v| v < lo);
-            let to = self.active.partition_point(|&v| v < hi);
+            let from = core.active.partition_point(|&v| v < lo);
+            let to = core.active.partition_point(|&v| v < hi);
             let mut entries = Vec::with_capacity(to - from);
-            for &v32 in &self.active[from..to] {
-                let v = v32 as usize;
-                let deg = self.graph.degree(NodeId(v));
-                let base = self.off[v];
+            for &v in &core.active[from..to] {
+                let slots = core.offsets[v as usize]..core.offsets[v as usize + 1];
                 let mut inbox = Vec::new();
-                for p in 0..deg {
-                    if let Some(f) = self.inbox[base + p].take() {
+                for (p, slot) in core.inbox[slots].iter_mut().enumerate() {
+                    if let Some((f, copies)) = slot.take() {
                         inbox.push(Delivery {
                             port: p as u32,
-                            copies: f.copies,
+                            copies,
                             sender: f.sender,
                             sender_port: f.sender_port,
                             bits: f.bits,
@@ -1501,15 +1308,17 @@ impl Coord<'_> {
                         });
                     }
                 }
-                entries.push(StartEntry { node: v32, inbox });
+                entries.push(StartEntry { node: v, inbox });
             }
-            self.links[s].send(&Ctl::Start { round, entries }, s, round)?;
+            link.send(&Ctl::Start { round, entries }, s, round)?;
         }
-        self.sched.clear();
-        self.staged.clear();
-        self.violation = None;
-        for s in 0..shards {
-            match self.links[s].recv_real(s, round)? {
+        // Replies arrive in shard order, each ascending by node, so the
+        // first violation seen is the lowest: it cuts the round there,
+        // and neither its node's sends nor any later node's happen.
+        let mut staged = 0u64;
+        let mut cut = None;
+        for (s, link) in self.links.iter_mut().enumerate() {
+            match link.recv_real(s, round)? {
                 Ctl::RoundDone { round: r, results } => {
                     if r != round {
                         return Err(SimError::PeerLost {
@@ -1519,25 +1328,19 @@ impl Coord<'_> {
                         });
                     }
                     for res in results {
-                        if let Some(p) = res.violation {
-                            if self.violation.is_none() {
-                                self.violation = Some((res.node, p));
-                            }
+                        staged += res.sends.len() as u64;
+                        if cut.is_none() {
+                            cut = res.violation.map(|p| (res.node, Port(p as usize)));
                         }
-                        for send in res.sends {
-                            self.staged.push((
-                                res.node,
-                                send.port,
-                                CFrame {
-                                    words: send.words,
-                                    bits: send.bits,
-                                    copies: 0,
-                                    sender: res.node,
-                                    sender_port: send.port,
-                                },
-                            ));
+                        if cut.is_none() {
+                            self.sends.extend(res.sends.into_iter().map(|send| Frame {
+                                words: send.words,
+                                bits: send.bits,
+                                sender: res.node,
+                                sender_port: send.port,
+                            }));
                         }
-                        self.sched.push((res.node, res.outcome));
+                        self.outcomes.push((res.node, res.outcome.into()));
                     }
                 }
                 Ctl::Abort {
@@ -1562,129 +1365,26 @@ impl Coord<'_> {
                 }
             }
         }
+        core.open_merge(staged, 0);
+        for frame in self.sends.drain(..) {
+            let (sender, port, bits) = (frame.sender, frame.sender_port as usize, frame.bits);
+            core.deliver(sender, port, bits, frame);
+        }
+        core.close_merge(cut)?;
+        core.apply_schedule(self.outcomes.drain(..));
         Ok(())
-    }
-
-    /// The engine's sequential merge over opaque frames: identical
-    /// accounting, identical trace events, identical fault-injector
-    /// call order.
-    fn merge_staged(&mut self) -> Result<u64, SimError> {
-        let round = self.round;
-        let cut_node = self.violation.map_or(u32::MAX, |(v, _)| v);
-        let staged_total = self.staged.len() as u64;
-        self.round_staged = staged_total;
-        if let Some(t) = self.trace.as_mut() {
-            t.event(&TraceEvent::ShardFlush {
-                round,
-                staged: staged_total,
-                bytes: staged_total * self.staged_bytes,
-            });
-        }
-        let mut round_msgs = 0u64;
-        let epoch = round + 1;
-        for (v32, p32, frame) in self.staged.drain(..) {
-            if v32 >= cut_node {
-                continue;
-            }
-            let (v, p) = (v32 as usize, p32 as usize);
-            let rp = self.rev_port[self.off[v] + p];
-            if rp == usize::MAX {
-                return Err(SimError::BrokenTopology {
-                    node: NodeId(v),
-                    port: Port(p),
-                });
-            }
-            let arc = self.graph.neighbors(NodeId(v))[p];
-            let bits = frame.bits;
-            self.report.messages += 1;
-            self.report.total_bits += bits;
-            self.report.max_message_bits = self.report.max_message_bits.max(bits);
-            round_msgs += 1;
-            let (copies, down) = match self.injector.as_mut() {
-                None => (1, false),
-                Some(inj) => {
-                    let tx = inj.transmit(arc.edge, round);
-                    (tx.copies.len() as u32, tx.down)
-                }
-            };
-            if let Some(t) = self.trace.as_mut() {
-                t.event(&TraceEvent::Send {
-                    round,
-                    sender: v32,
-                    port: p32,
-                    bits,
-                    copies,
-                    link_down: down,
-                });
-            }
-            if copies == 0 {
-                continue;
-            }
-            let to = arc.to.0;
-            let slot = &mut self.pending[self.off[to] + rp];
-            match slot {
-                Some(existing) => existing.copies += copies,
-                None => *slot = Some(CFrame { copies, ..frame }),
-            }
-            self.pending_count += u64::from(copies);
-            if self.recv_mark[to] != epoch {
-                self.recv_mark[to] = epoch;
-                self.receivers.push(to as u32);
-            }
-        }
-        if let Some((v, port)) = self.violation {
-            return Err(SimError::CongestViolation {
-                node: NodeId(v as usize),
-                port: Port(port as usize),
-                round,
-            });
-        }
-        Ok(round_msgs)
-    }
-
-    /// The engine's `apply_schedule` over the wire outcomes.
-    fn apply_schedule(&mut self) {
-        let next = self.round + 1;
-        self.ticking.clear();
-        for &(v32, outcome) in &self.sched {
-            let v = v32 as usize;
-            match outcome {
-                None => {}
-                Some(WireOutcome::Done) => {
-                    if !self.done_flag[v] {
-                        self.done_flag[v] = true;
-                        self.live_undone -= 1;
-                    }
-                    self.timers.cancel(v32);
-                }
-                Some(WireOutcome::Tick | WireOutcome::Sleep | WireOutcome::Park(_)) => {
-                    if self.done_flag[v] {
-                        self.done_flag[v] = false;
-                        self.live_undone += 1;
-                    }
-                    match outcome {
-                        Some(WireOutcome::Tick) => {
-                            self.timers.note(v32, next);
-                            self.ticking.push(v32);
-                        }
-                        Some(WireOutcome::Sleep) => self.timers.cancel(v32),
-                        Some(WireOutcome::Park(r)) => self.timers.park(v32, r),
-                        _ => unreachable!(),
-                    }
-                }
-            }
-        }
-        self.sched.clear();
     }
 }
 
 /// Runs the coordinator side of a distributed execution: accepts
 /// `opts.shards` worker connections on `listener`, validates the
 /// handshake (version, graph fingerprint, shard layout, memory-model
-/// consensus), then drives the round loop to quiescence. The returned
-/// report — and the stream written to `trace`, if any — is
-/// byte-identical to `Simulator::with_config(..).run(max_rounds)` on a
-/// single process.
+/// consensus), then drives the round core with the worker fleet as its
+/// backend until quiescence. The returned report — and the stream
+/// written to `trace`, if any — is byte-identical to
+/// `Simulator::with_config(..).run(max_rounds)` (or
+/// `Simulator::with_faults_config` under `opts.plan`) on a single
+/// process.
 ///
 /// # Errors
 ///
@@ -1692,7 +1392,7 @@ impl Coord<'_> {
 /// the handshake, goes silent past the deadline, or closes its stream;
 /// otherwise exactly the errors the in-process engine produces
 /// ([`SimError::RoundLimitExceeded`], [`SimError::CongestViolation`],
-/// [`SimError::WireMismatch`], [`SimError::BrokenTopology`]).
+/// [`SimError::WireMismatch`]).
 ///
 /// # Panics
 ///
@@ -1736,7 +1436,7 @@ pub fn coordinate(
         }
     }
     let bounds = shard_bounds(n, opts.shards);
-    let mut done_flag = vec![false; n];
+    let mut done = vec![false; n];
     for (s, l) in links.iter().enumerate() {
         let want = bounds[s + 1] - bounds[s];
         if l.done.len() != want {
@@ -1746,14 +1446,12 @@ pub fn coordinate(
                 detail: format!("shard {s} reported {} nodes, expected {want}", l.done.len()),
             });
         }
-        done_flag[bounds[s]..bounds[s + 1]].copy_from_slice(&l.done);
+        done[bounds[s]..bounds[s + 1]].copy_from_slice(&l.done);
     }
-    let live_undone = done_flag.iter().filter(|&&d| !d).count();
 
     // Complete the handshake.
     let welcome = Ctl::Welcome {
         timeout_ms: opts.timeout.as_millis() as u64,
-        full_scan: opts.config.scheduling == Scheduling::FullScan,
     };
     let mut wlinks = Vec::with_capacity(links.len());
     for (s, mut l) in links.drain(..).enumerate() {
@@ -1769,107 +1467,26 @@ pub fn coordinate(
         wlinks.push(l.link);
     }
 
-    // CSR offsets and the flattened reverse-port table, as the engine
-    // builds them.
-    let mut off = Vec::with_capacity(n + 1);
-    off.push(0usize);
-    for v in 0..n {
-        off.push(off[v] + graph.degree(NodeId(v)));
-    }
-    let acc = off[n];
-    let mut rev_port = vec![usize::MAX; acc];
-    for v in 0..n {
-        for (p, arc) in graph.neighbors(NodeId(v)).iter().enumerate() {
-            if let Some(rp) = graph
-                .neighbors(arc.to)
-                .iter()
-                .position(|a| a.edge == arc.edge)
-            {
-                rev_port[off[v] + p] = rp;
-            }
-        }
-    }
-
-    let mut coord = Coord {
-        graph,
-        config: opts.config,
-        off,
-        rev_port,
-        bounds,
+    let mut core = RoundCore::new(graph, opts.config, done, injector, fixed_mem, staged_bytes);
+    core.attach_trace(trace);
+    let mut fleet = Fleet {
         links: wlinks,
-        inbox: (0..acc).map(|_| None).collect(),
-        pending: (0..acc).map(|_| None).collect(),
-        pending_count: 0,
-        recv_mark: vec![0; n],
-        receivers: Vec::new(),
-        ticking: Vec::new(),
-        timers: TimerHeap::new(n),
-        due: Vec::new(),
-        merged: Vec::new(),
-        active: Vec::new(),
-        done_flag,
-        live_undone,
-        first_step: true,
-        round: 0,
-        report: RunReport {
-            peak_memory_bytes: fixed_mem,
-            ..RunReport::default()
-        },
-        injector,
-        last_activity: 0,
-        trace,
-        fixed_mem,
-        staged_bytes,
-        round_staged: 0,
-        sched: Vec::new(),
-        staged: Vec::new(),
-        violation: None,
+        bounds,
+        sends: Vec::new(),
+        outcomes: Vec::new(),
     };
-
-    if let Some(t) = coord.trace.as_mut() {
-        t.event(&TraceEvent::RunStart {
-            mode: "sync",
-            nodes: n,
-            edges: graph.edge_count(),
-            bit_budget: coord.config.bit_budget,
-            fixed_mem: Some(coord.fixed_mem),
-        });
-    }
-
-    // The run loop of `Simulator::run`, verbatim.
-    loop {
-        if coord.quiescent() {
-            break;
-        }
-        coord.fast_forward(opts.max_rounds);
-        if coord.quiescent() {
-            break;
-        }
-        if coord.round >= opts.max_rounds {
-            return Err(SimError::RoundLimitExceeded {
-                limit: opts.max_rounds,
-                stall: coord.stall_report(),
-            });
-        }
-        coord.step()?;
-    }
-    if let Some(t) = coord.trace.as_mut() {
-        t.event(&TraceEvent::RunEnd {
-            report: &coord.report,
-        });
-        t.flush();
-    }
+    core.run(&mut fleet, u64::MAX, opts.max_rounds, None)?;
 
     // Harvest.
     let mut outputs = Vec::with_capacity(n);
-    let round = coord.round;
-    for s in 0..coord.links.len() {
-        coord.links[s].send(&Ctl::Finish, s, round)?;
+    let round = core.round;
+    for (s, link) in fleet.links.iter_mut().enumerate() {
+        link.send(&Ctl::Finish, s, round)?;
     }
-    for s in 0..coord.links.len() {
-        match coord.links[s].recv_real(s, round)? {
+    for (s, link) in fleet.links.iter_mut().enumerate() {
+        match link.recv_real(s, round)? {
             Ctl::Output { rows } => {
-                let want = coord.bounds[s + 1] - coord.bounds[s];
+                let want = fleet.bounds[s + 1] - fleet.bounds[s];
                 if rows.len() != want {
                     return Err(SimError::PeerLost {
                         peer: s as u32,
@@ -1889,7 +1506,7 @@ pub fn coordinate(
         }
     }
     Ok(DistOutcome {
-        report: coord.report,
+        report: core.into_report(),
         outputs,
     })
 }
@@ -2041,10 +1658,7 @@ mod tests {
                 staged_bytes: 24,
                 done: vec![true, false, true],
             },
-            Ctl::Welcome {
-                timeout_ms: 5000,
-                full_scan: true,
-            },
+            Ctl::Welcome { timeout_ms: 5000 },
             Ctl::Start {
                 round: 7,
                 entries: vec![
@@ -2069,7 +1683,7 @@ mod tests {
                 round: 7,
                 results: vec![NodeResult {
                     node: 3,
-                    outcome: Some(WireOutcome::Park(19)),
+                    outcome: WireOutcome::Park(19),
                     violation: Some(2),
                     sends: vec![SendFrame {
                         port: 0,
@@ -2102,11 +1716,10 @@ mod tests {
     #[test]
     fn node_outcomes_roundtrip() {
         for outcome in [
-            None,
-            Some(WireOutcome::Done),
-            Some(WireOutcome::Tick),
-            Some(WireOutcome::Sleep),
-            Some(WireOutcome::Park(u64::MAX)),
+            WireOutcome::Done,
+            WireOutcome::Tick,
+            WireOutcome::Sleep,
+            WireOutcome::Park(u64::MAX),
         ] {
             let res = NodeResult {
                 node: 0,
@@ -2164,18 +1777,25 @@ mod tests {
 
     #[test]
     fn corrupt_payload_decodes_to_a_typed_error() {
-        // a NodeResult whose outcome tag (5 variants, 3 bits) carries the
-        // invalid value 7
+        // a NodeResult carrying a send frame whose word count (2) does
+        // not match its bit length (3 bits = 1 word)
         let mut w = BitWriter::new();
         w.u32(0);
-        w.tag(7, 8);
+        w.tag(0, 4); // Done
+        w.opt_u32(None);
+        w.u32(1); // one send
+        w.u32(0); // port
+        w.push(3, 64); // bits
+        w.u32(2); // word count
+        w.push(5, 64);
+        w.push(0, 64);
         let frame = w.finish();
         let err = NodeResult::from_frame(&frame).unwrap_err();
         assert!(matches!(
             err,
-            WireError::BadTag {
-                context: "node outcome",
-                value: 7
+            WireError::BadLength {
+                context: "send frame word count",
+                bits: 3
             }
         ));
         // and a truncated Ctl frame overruns instead of panicking

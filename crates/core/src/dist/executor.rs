@@ -49,8 +49,8 @@ impl Executor {
     }
 
     /// [`Executor::run`] with an explicit round-engine configuration
-    /// (scheduler and worker threads) instead of the
-    /// `KDOM_THREADS`/`KDOM_SCHED` environment defaults. The α backend
+    /// (schedule knobs and worker threads) instead of the
+    /// [`EngineConfig::from_env`] environment defaults. The α backend
     /// is event-driven rather than round-sharded, so it executes
     /// single-threaded regardless of `config.threads`; outputs are
     /// byte-identical either way.
@@ -207,14 +207,16 @@ mod tests {
 
     #[test]
     fn explicit_engine_configs_agree() {
-        use kdom_congest::Scheduling;
         let g = Family::Grid.generate(36, 9);
         let max_id = g.nodes().map(|v| g.id_of(v)).max().unwrap();
         let mut reports = Vec::new();
-        for (sched, threads) in [(Scheduling::FullScan, 1), (Scheduling::ActiveSet, 4)] {
-            let cfg = EngineConfig::default()
-                .with_scheduling(sched)
-                .with_threads(threads);
+        let every_node_every_round = EngineConfig::default()
+            .with_dense_pct(0)
+            .with_fast_forward(false);
+        for cfg in [
+            every_node_every_round.with_threads(1),
+            EngineConfig::default().with_threads(4),
+        ] {
             let nodes = (0..g.node_count()).map(|_| ElectionNode::new()).collect();
             let (nodes, report) = Executor::Sync
                 .run_configured(&g, nodes, 10_000, cfg)

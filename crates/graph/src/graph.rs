@@ -121,6 +121,9 @@ pub struct Graph {
     /// insertion order (both directions of edge `i` are placed before
     /// both directions of edge `i+1`).
     arcs: Vec<Arc>,
+    /// `twins[offsets[v] + p]`: the port the edge at `v`'s port `p`
+    /// occupies at its other endpoint, recorded as both arcs are placed.
+    twins: Vec<u32>,
     edges: Vec<EdgeRef>,
     ids: Vec<u64>,
 }
@@ -131,13 +134,14 @@ impl Graph {
     /// generators: count degrees, prefix-sum into offsets, then place
     /// both arcs of every edge in insertion order (reproducing exactly
     /// the adjacency order the historical `Vec<Vec<Arc>>` push loop
-    /// produced). `ids` of `None` default to `0..n`.
+    /// produced), recording each arc's twin port as the pair is placed.
+    /// `ids` of `None` default to `0..n`.
     ///
     /// # Panics
     ///
     /// Panics on self loops, out-of-range endpoints, duplicate
-    /// (parallel) edges, non-consecutive [`EdgeId`]s, or an id list of
-    /// the wrong length.
+    /// (parallel) edges, non-consecutive [`EdgeId`]s, a degree beyond
+    /// the `u32` port range, or an id list of the wrong length.
     pub fn from_edges(n: usize, edges: Vec<EdgeRef>, ids: Option<Vec<u64>>) -> Graph {
         let mut degree = vec![0usize; n];
         for (i, e) in edges.iter().enumerate() {
@@ -151,11 +155,16 @@ impl Graph {
         let mut acc = 0usize;
         offsets.push(0);
         for &d in &degree {
+            assert!(
+                u32::try_from(d).is_ok(),
+                "degree {d} exceeds the u32 port range"
+            );
             acc += d;
             offsets.push(acc);
         }
-        // cursor[v]: next free slot in v's CSR range during the fill
-        let mut cursor = offsets[..n].to_vec();
+        // fill[v] = [first slot, next free slot] of v's CSR range: both
+        // in one cache line, since the fill visits nodes in random order
+        let mut fill: Vec<[usize; 2]> = offsets[..n].iter().map(|&o| [o, o]).collect();
         let mut arcs = vec![
             Arc {
                 to: NodeId(0),
@@ -164,20 +173,21 @@ impl Graph {
             };
             acc
         ];
-        let mut place = |cursor: &mut [usize], from: NodeId, arc: Arc| {
+        let mut twins = vec![0u32; acc];
+        // places `arc` in `from`'s next free slot; returns (slot, port)
+        let mut place = |from: NodeId, arc: Arc| {
+            let [first, slot] = fill[from.0];
             assert!(
-                !arcs[offsets[from.0]..cursor[from.0]]
-                    .iter()
-                    .any(|a| a.to == arc.to),
+                !arcs[first..slot].iter().any(|a| a.to == arc.to),
                 "parallel edge {from:?}-{:?}",
                 arc.to
             );
-            arcs[cursor[from.0]] = arc;
-            cursor[from.0] += 1;
+            arcs[slot] = arc;
+            fill[from.0][1] = slot + 1;
+            (slot, slot - first)
         };
         for e in &edges {
-            place(
-                &mut cursor,
+            let (su, pu) = place(
                 e.u,
                 Arc {
                     to: e.v,
@@ -185,8 +195,7 @@ impl Graph {
                     edge: e.id,
                 },
             );
-            place(
-                &mut cursor,
+            let (sv, pv) = place(
                 e.v,
                 Arc {
                     to: e.u,
@@ -194,12 +203,16 @@ impl Graph {
                     edge: e.id,
                 },
             );
+            // ports fit in u32: every degree was checked above
+            twins[su] = pv as u32;
+            twins[sv] = pu as u32;
         }
         let ids = ids.unwrap_or_else(|| (0..n as u64).collect());
         assert_eq!(ids.len(), n, "one id per node required");
         Graph {
             offsets,
             arcs,
+            twins,
             edges,
             ids,
         }
@@ -249,6 +262,29 @@ impl Graph {
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
         self.offsets[v.0 + 1] - self.offsets[v.0]
+    }
+
+    /// CSR offsets, `node_count() + 1` long: `v`'s arcs occupy slots
+    /// `offsets()[v]..offsets()[v + 1]` of the flat arc order that
+    /// [`Graph::twin_ports`] and per-arc tables follow.
+    #[inline]
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
+    /// The twin port of every arc, in flat CSR order: the edge at `v`'s
+    /// port `p` sits at port `twin_ports()[offsets()[v] + p]` of its
+    /// other endpoint. Every arc has a twin by construction.
+    #[inline]
+    pub fn twin_ports(&self) -> &[u32] {
+        &self.twins
+    }
+
+    /// The port at `neighbors(v)[p].to` of the edge at `v`'s port `p`.
+    #[inline]
+    pub fn twin_port(&self, v: NodeId, p: usize) -> usize {
+        debug_assert!(p < self.degree(v), "port {p} out of range for {v:?}");
+        self.twins[self.offsets[v.0] + p] as usize
     }
 
     /// The unique application-level identifier of `v`.
@@ -328,13 +364,14 @@ impl Graph {
         h
     }
 
-    /// Heap bytes held by the graph's four arrays (CSR offsets + arcs,
-    /// edge list, id list). Deterministic — computed from lengths, not
-    /// allocator capacities — so it can participate in byte-identical
-    /// reports.
+    /// Heap bytes held by the graph's five arrays (CSR offsets + arcs,
+    /// twin ports, edge list, id list). Deterministic — computed from
+    /// lengths, not allocator capacities — so it can participate in
+    /// byte-identical reports.
     pub fn memory_bytes(&self) -> u64 {
         (self.offsets.len() * std::mem::size_of::<usize>()
             + self.arcs.len() * std::mem::size_of::<Arc>()
+            + self.twins.len() * std::mem::size_of::<u32>()
             + self.edges.len() * std::mem::size_of::<EdgeRef>()
             + self.ids.len() * std::mem::size_of::<u64>()) as u64
     }
@@ -569,6 +606,49 @@ mod tests {
         renamed.add_edge(NodeId(2), NodeId(0), 9);
         renamed.ids(vec![10, 11, 12]);
         assert_ne!(g.fingerprint(), renamed.build().fingerprint());
+    }
+
+    /// Asserts every arc's recorded twin against a scan of the other
+    /// endpoint's adjacency list.
+    fn assert_twins_match_scan(g: &Graph) {
+        assert_eq!(g.twin_ports().len(), g.offsets()[g.node_count()]);
+        for v in g.nodes() {
+            for (p, arc) in g.neighbors(v).iter().enumerate() {
+                let scanned = g
+                    .neighbors(arc.to)
+                    .iter()
+                    .position(|a| a.edge == arc.edge)
+                    .expect("the edge is in both adjacency lists");
+                assert_eq!(g.twin_port(v, p), scanned, "twin of {v:?} port {p}");
+                assert_eq!(g.neighbors(arc.to)[scanned].to, v);
+            }
+        }
+    }
+
+    /// The twin table recorded during placement matches the scan on a
+    /// random graph, a star (one hub holding every arc), and a graph
+    /// rebuilt from an edited edge list — a node dropped and an edge
+    /// added, the way churn rebuilds topologies.
+    #[test]
+    fn twin_ports_match_scan() {
+        use crate::generators::{gnp_connected, star, GenConfig};
+        let g = gnp_connected(&GenConfig::with_seed(40, 5), 0.15);
+        assert_twins_match_scan(&g);
+        assert_twins_match_scan(&star(&GenConfig::with_seed(50, 2)));
+
+        // drop node 7 (renumbering the rest down) and link the two ends
+        let gone = 7;
+        let renumber = |v: NodeId| NodeId(if v.0 > gone { v.0 - 1 } else { v.0 });
+        let mut b = GraphBuilder::new(g.node_count() - 1);
+        for e in g.edges().iter().filter(|e| e.u.0 != gone && e.v.0 != gone) {
+            b.add_edge(renumber(e.u), renumber(e.v), e.weight);
+        }
+        let rebuilt = b.build();
+        let last = NodeId(rebuilt.node_count() - 1);
+        if rebuilt.edge_between(NodeId(0), last).is_none() {
+            b.add_edge(NodeId(0), last, u64::MAX);
+        }
+        assert_twins_match_scan(&b.build());
     }
 
     #[test]

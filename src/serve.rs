@@ -40,7 +40,7 @@ use std::time::Duration;
 use kdom_congest::transport::{frame_to_bytes, read_frame, Conn, CoordListener, Endpoint};
 use kdom_congest::{
     Algo, CacheStats, ExecSpec, FaultPlan, JobHandle, JobPool, JobStatus, PoolStats, RunReport,
-    RunSpec, Scheduling, SweepSpec,
+    RunSpec, SweepSpec,
 };
 use kdom_graph::generators::Family;
 use kdom_graph::graph::EdgeRef;
@@ -122,18 +122,13 @@ pub fn spec_to_tokens(spec: &RunSpec) -> Result<String, String> {
         ExecSpec::Sync => "sync".to_string(),
         ExecSpec::ReliableAlpha { max_delay } => format!("alpha:{max_delay}"),
     };
-    let sched = match spec.scheduling {
-        Scheduling::FullScan => "full-scan",
-        Scheduling::ActiveSet => "active-set",
-    };
     Ok(format!(
-        "algo={} k={} seed={} threads={} sched={} ff={} dense={} shard={} wire={} exec={} \
+        "algo={} k={} seed={} threads={} ff={} dense={} shard={} wire={} exec={} \
          trace={} fseed={} fdrop={:016x} fdup={:016x} fdelay={}",
         spec.algo.label(),
         spec.k,
         spec.seed,
         spec.threads,
-        sched,
         u8::from(spec.fast_forward),
         spec.dense_pct,
         spec.shard_min,
@@ -186,13 +181,6 @@ pub fn spec_from_tokens<'a>(tokens: impl Iterator<Item = &'a str>) -> Result<Run
             "k" => spec.k = parse_num(key, v)?,
             "seed" => spec.seed = parse_num(key, v)?,
             "threads" => spec.threads = parse_num::<usize>(key, v)?.max(1),
-            "sched" => {
-                spec.scheduling = match v {
-                    "full-scan" => Scheduling::FullScan,
-                    "active-set" => Scheduling::ActiveSet,
-                    _ => return Err(format!("sched={v:?} is not full-scan or active-set")),
-                }
-            }
             "ff" => spec.fast_forward = parse_bool(key, v)?,
             "dense" => spec.dense_pct = parse_num(key, v)?,
             "shard" => spec.shard_min = parse_num(key, v)?,
@@ -1008,16 +996,19 @@ mod tests {
 
     #[test]
     fn spec_tokens_round_trip_bytes() {
-        let spec = RunSpec::default()
-            .with_algo(Algo::FastDomG)
-            .with_k(7)
-            .with_seed(42)
-            .with_threads(3)
-            .with_scheduling(Scheduling::FullScan)
-            .with_wire_exact(true)
-            .with_exec(ExecSpec::ReliableAlpha { max_delay: 9 })
-            .with_faults(FaultPlan::new(5).drop_prob(0.125))
-            .with_trace(true);
+        let spec = RunSpec {
+            dense_pct: 0,
+            fast_forward: false,
+            ..RunSpec::default()
+                .with_algo(Algo::FastDomG)
+                .with_k(7)
+                .with_seed(42)
+                .with_threads(3)
+                .with_wire_exact(true)
+                .with_exec(ExecSpec::ReliableAlpha { max_delay: 9 })
+                .with_faults(FaultPlan::new(5).drop_prob(0.125))
+                .with_trace(true)
+        };
         let tokens = spec_to_tokens(&spec).expect("encodable");
         let back = spec_from_tokens(tokens.split_whitespace()).expect("parse");
         assert_eq!(back, spec);

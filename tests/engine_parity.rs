@@ -4,14 +4,15 @@
 //!
 //! The determinism contract (DESIGN.md §4): staged sends are merged in
 //! node-index order, and the fault injector's RNG is advanced only during
-//! that sequential merge — so `{full-scan, active-set} × {1, 4 threads}`
-//! are observationally one machine. These tests pin that contract for
+//! that sequential merge — so `{every node every round, active set} × {1,
+//! 4 threads}` are observationally one machine. These tests pin that
+//! contract for
 //! BFS, election, DiamDOM, BalancedDOM coloring, SimpleMST, the Pipeline
 //! (via Fast-MST), FastDOM_T/G, and Fast-MST.
 
 use kdom::congest::{
     run_protocol_alpha_reliable, EngineConfig, FaultPlan, Message, NodeCtx, Outbox, Port, Protocol,
-    Scheduling, Simulator, Wake,
+    Simulator, Wake,
 };
 use kdom::core::dist::bfs::BfsNode;
 use kdom::core::dist::coloring::{BalancedConfig, BalancedNode};
@@ -25,24 +26,20 @@ use kdom::graph::tree::RootedTree;
 use kdom::graph::{Graph, NodeId};
 use kdom::mst::fastmst::fast_mst;
 
-/// Every engine configuration the suite must agree across: both
-/// schedulers, 1 vs 4 threads, fast-forward on vs off, a forced
-/// dense-scan leg, and wire-exact execution (messages round-tripped
-/// through their bit encoding at every hop). `with_shard_min(32)` lowers
-/// the parallel-split threshold (the default is 1024) so the `n ≥ 128`
-/// graphs here make the 4-thread legs genuinely shard; `with_dense_pct(0)`
-/// forces the adaptive dense fallback on every round.
+/// Every engine configuration the suite must agree across: every node
+/// stepped every round vs the active set, 1 vs 4 threads, fast-forward on
+/// vs off, a forced dense-scan leg, and wire-exact execution (messages
+/// round-tripped through their bit encoding at every hop).
+/// `with_shard_min(32)` lowers the parallel-split threshold (the default
+/// is 1024) so the `n ≥ 128` graphs here make the 4-thread legs genuinely
+/// shard; `with_dense_pct(0)` forces the adaptive dense fallback on every
+/// round, and with fast-forward off it steps every node every round.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     let base = EngineConfig::default().with_shard_min(32);
+    let every_node = base.with_dense_pct(0).with_fast_forward(false);
     vec![
-        (
-            "full-scan/1t",
-            base.with_scheduling(Scheduling::FullScan).with_threads(1),
-        ),
-        (
-            "full-scan/4t",
-            base.with_scheduling(Scheduling::FullScan).with_threads(4),
-        ),
+        ("every-node/1t", every_node.with_threads(1)),
+        ("every-node/4t", every_node.with_threads(4)),
         ("active-set/1t", base.with_threads(1)),
         ("active-set/4t", base.with_threads(4)),
         (
@@ -70,7 +67,8 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
 
 /// Runs `make_nodes(g)` under every config and asserts the Debug rendering
 /// of the full node vector, the `RunReport`, and the run result are all
-/// byte-identical to the first (full-scan, single-thread) leg.
+/// byte-identical to the first (every node every round, single-thread)
+/// leg.
 fn assert_parity<P, F>(g: &Graph, make_nodes: F, plan: Option<&FaultPlan>, what: &str)
 where
     P: Protocol + std::fmt::Debug,
@@ -593,21 +591,22 @@ fn wire_exact_alpha_parity() {
 
 /// Composed runners (DiamDOM, FastDOM_T/G, Fast-MST with its Pipeline
 /// stage) read the engine configuration from the environment, so this is
-/// the one test that mutates `KDOM_THREADS`/`KDOM_SCHED`/`KDOM_FASTFWD`/
-/// `KDOM_WIRE` — everything else in the binary uses explicit configs, and
-/// Rust runs tests in one process, so only one env-touching test may
-/// exist.
+/// the one test that mutates `KDOM_THREADS`/`KDOM_DENSE_PCT`/
+/// `KDOM_FASTFWD`/`KDOM_WIRE` — everything else in the binary uses
+/// explicit configs, and Rust runs tests in one process, so only one
+/// env-touching test may exist. `KDOM_DENSE_PCT=0 KDOM_FASTFWD=0` steps
+/// every node every round.
 #[test]
 fn composed_runners_parity_under_env() {
     let legs = [
-        ("1", "active", "1", "off"),
-        ("4", "active", "1", "off"),
-        ("1", "full", "1", "off"),
-        ("4", "full", "1", "off"),
-        ("1", "active", "0", "off"),
-        ("4", "active", "0", "off"),
-        ("1", "active", "1", "exact"),
-        ("4", "active", "1", "exact"),
+        ("1", "75", "1", "off"),
+        ("4", "75", "1", "off"),
+        ("1", "0", "0", "off"),
+        ("4", "0", "0", "off"),
+        ("1", "75", "0", "off"),
+        ("4", "75", "0", "off"),
+        ("1", "75", "1", "exact"),
+        ("4", "75", "1", "exact"),
     ];
     let mut baseline: Option<[String; 4]> = None;
 
@@ -615,9 +614,9 @@ fn composed_runners_parity_under_env() {
     let gt = Family::RandomTree.generate(150, 8);
     let gg = gnp_connected(&GenConfig::with_seed(140, 6), 0.06);
 
-    for (threads, sched, fastfwd, wire) in legs {
+    for (threads, dense, fastfwd, wire) in legs {
         std::env::set_var("KDOM_THREADS", threads);
-        std::env::set_var("KDOM_SCHED", sched);
+        std::env::set_var("KDOM_DENSE_PCT", dense);
         std::env::set_var("KDOM_FASTFWD", fastfwd);
         std::env::set_var("KDOM_WIRE", wire);
         let diam = format!("{:?}", run_diamdom(&gd, NodeId(0), 3));
@@ -641,7 +640,7 @@ fn composed_runners_parity_under_env() {
                     assert_eq!(
                         want[i], got[i],
                         "{name} diverged at KDOM_THREADS={threads} \
-                         KDOM_SCHED={sched} KDOM_FASTFWD={fastfwd} \
+                         KDOM_DENSE_PCT={dense} KDOM_FASTFWD={fastfwd} \
                          KDOM_WIRE={wire}"
                     );
                 }
@@ -649,7 +648,7 @@ fn composed_runners_parity_under_env() {
         }
     }
     std::env::remove_var("KDOM_THREADS");
-    std::env::remove_var("KDOM_SCHED");
+    std::env::remove_var("KDOM_DENSE_PCT");
     std::env::remove_var("KDOM_FASTFWD");
     std::env::remove_var("KDOM_WIRE");
 }

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use kdom::congest::{Algo, CacheKey, ExecSpec, JobPool, JobStatus, RunSpec, Scheduling};
+use kdom::congest::{Algo, CacheKey, ExecSpec, JobPool, JobStatus, RunSpec};
 use kdom::graph::generators::Family;
 use kdom::graph::{GraphBuilder, NodeId};
 use kdom::mst::service;
@@ -20,10 +20,6 @@ fn specs_differing_in_one_field_key_differently() {
         ("wire mode", base.clone().with_wire_exact(!base.wire_exact)),
         ("threads", base.clone().with_threads(base.threads + 1)),
         ("algorithm", base.clone().with_algo(Algo::Bfs)),
-        (
-            "scheduling",
-            base.clone().with_scheduling(Scheduling::FullScan),
-        ),
         ("trace", base.clone().with_trace(true)),
         (
             "backend",

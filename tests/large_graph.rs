@@ -17,7 +17,7 @@
 //! the budget test touches the engine env vars (the composed runner
 //! reads them) and must not race the explicit-config parity legs.
 
-use kdom::congest::{AlphaSimulator, EngineConfig, Scheduling, Simulator};
+use kdom::congest::{AlphaSimulator, EngineConfig, Simulator};
 use kdom::core::dist::bfs::BfsNode;
 use kdom::core::dist::fragments::FragmentNode;
 use kdom::core::verify::{check_k_dominating_with_threads, check_mst_fragments_with_threads};
@@ -34,16 +34,19 @@ fn big_graph() -> Graph {
     gnm_connected(&GenConfig::with_seed(N, 2026), M)
 }
 
-/// The configurations the large runs must agree across: both schedulers
-/// single-threaded, plus a 4-thread active-set leg whose `shard_min` is
-/// low enough that even late, sparse frontiers still split into multiple
-/// shards (so the bucketed merge is exercised on every parallel round).
+/// The configurations the large runs must agree across: every node
+/// stepped every round and the active set, single-threaded, plus a
+/// 4-thread active-set leg whose `shard_min` is low enough that even
+/// late, sparse frontiers still split into multiple shards (so the
+/// bucketed merge is exercised on every parallel round).
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     let base = EngineConfig::default().with_shard_min(64);
     vec![
         (
-            "full-scan/1t",
-            base.with_scheduling(Scheduling::FullScan).with_threads(1),
+            "every-node/1t",
+            base.with_dense_pct(0)
+                .with_fast_forward(false)
+                .with_threads(1),
         ),
         ("active-set/1t", base.with_threads(1)),
         ("active-set/4t", base.with_threads(4)),
@@ -191,11 +194,9 @@ fn fast_mst_1e5_peak_memory_budget() {
     const BUDGET: u64 = 256 << 20; // 256 MiB for n = 10^5, m = 2×10^5
 
     std::env::set_var("KDOM_THREADS", "4");
-    std::env::set_var("KDOM_SCHED", "active");
     let g = big_graph();
     let run = fast_mst(&g);
     std::env::remove_var("KDOM_THREADS");
-    std::env::remove_var("KDOM_SCHED");
 
     assert_eq!(run.mst_edges.len(), N - 1, "spanning tree incomplete");
     assert_eq!(run.stalls, 0, "pipeline stalled (Lemma 5.3)");

@@ -1,19 +1,23 @@
 //! Socket-transport parity: a Fast-MST fragment stage executed across
 //! separate OS processes must be **byte-identical** to the in-process
 //! engine — same [`RunReport`], same per-send JSONL trace, same
-//! harvested outputs — for both 2-worker and 4-worker fleets. Killing a
-//! worker mid-run must surface as a typed [`SimError::PeerLost`] within
-//! the heartbeat deadline, and a worker whose graph disagrees must be
-//! rejected in the handshake.
+//! harvested outputs — for both 2-worker and 4-worker fleets, and under
+//! transient faults (drops, duplicates, a link outage), which replay
+//! coordinator-side in the in-process order. Killing a worker mid-run
+//! must surface as a typed [`SimError::PeerLost`] within the heartbeat
+//! deadline, and a worker whose graph disagrees must be rejected in the
+//! handshake.
 
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use kdom::congest::transport::{coordinate, CoordListener, CoordOpts, Endpoint};
-use kdom::congest::{trace, EngineConfig, MemorySink, RunReport, SimError, Simulator};
+use kdom::congest::{
+    trace, EngineConfig, FaultPlan, MemorySink, Port, RunReport, SimError, Simulator,
+};
 use kdom::core::dist::fragments::{schedule_end, FragmentNode};
 use kdom::graph::generators::Family;
-use kdom::graph::Graph;
+use kdom::graph::{Graph, NodeId};
 use kdom::mst::fastmst::default_k;
 
 const GRAPH_SPEC: &str = "grid:2500:42";
@@ -34,18 +38,31 @@ fn harvest(node: &FragmentNode) -> u64 {
     node.parent.map_or(0, |p| p.0 as u64 + 1)
 }
 
+/// What a run produced: its report and harvested rows, or its error.
+type Outcome = Result<(RunReport, Vec<u64>), SimError>;
+
 /// The in-process reference: `Simulator` with a memory trace, exactly
-/// the engine configuration [`coordinate`] replicates.
-fn reference_run(g: &Graph, k: usize, max_rounds: u64) -> (RunReport, Vec<u64>, String) {
+/// the engine configuration [`coordinate`] drives, under `plan`'s
+/// transient faults when given.
+fn reference_run(
+    g: &Graph,
+    k: usize,
+    max_rounds: u64,
+    plan: Option<&FaultPlan>,
+) -> (Outcome, String) {
     let nodes: Vec<FragmentNode> = (0..g.node_count())
-        .map(|v| FragmentNode::new(k, g.id_of(kdom::graph::NodeId(v))))
+        .map(|v| FragmentNode::new(k, g.id_of(NodeId(v))))
         .collect();
-    let mut sim = Simulator::with_config(g, nodes, EngineConfig::default());
+    let mut sim = match plan {
+        Some(p) => Simulator::with_faults_config(g, nodes, p, EngineConfig::default()),
+        None => Simulator::with_config(g, nodes, EngineConfig::default()),
+    };
     let sink = MemorySink::new();
     sim.set_trace(Box::new(sink.clone()));
-    let report = sim.run(max_rounds).expect("in-process run");
-    let rows: Vec<u64> = sim.nodes().iter().map(harvest).collect();
-    (report, rows, sink.to_jsonl())
+    let outcome = sim
+        .run(max_rounds)
+        .map(|report| (report, sim.nodes().iter().map(harvest).collect()));
+    (outcome, sink.to_jsonl())
 }
 
 fn spawn_worker(ep: &Endpoint, shard: usize, shards: usize, spec: &str, extra: &[&str]) -> Child {
@@ -80,13 +97,15 @@ fn reap(mut children: Vec<Child>) {
     }
 }
 
-/// Runs a distributed fleet and returns its outcome plus the trace.
+/// Runs a distributed fleet (under `plan`'s transient faults, when
+/// given) and returns its outcome plus the trace.
 fn distributed_run(
     spec: &str,
     shards: usize,
     max_rounds: u64,
     timeout: Duration,
     extra_for_shard0: &[&str],
+    plan: Option<FaultPlan>,
 ) -> (
     Result<kdom::congest::transport::DistOutcome, SimError>,
     String,
@@ -104,7 +123,7 @@ fn distributed_run(
     let opts = CoordOpts {
         shards,
         config: EngineConfig::default(),
-        plan: None,
+        plan,
         max_rounds,
         timeout,
     };
@@ -113,21 +132,26 @@ fn distributed_run(
     (result, sink.to_jsonl())
 }
 
-fn assert_parity(shards: usize) {
+/// Runs the grid target in process and on a `shards`-worker fleet,
+/// asserts the outcomes and the JSONL traces are identical, and returns
+/// the outcome with the trace.
+fn assert_parity_under(shards: usize, plan: Option<FaultPlan>, label: &str) -> (Outcome, String) {
     let g = graph_of(GRAPH_SPEC);
     let k = default_k(g.node_count());
     let max_rounds = schedule_end(k) + 8;
-    let (want_report, want_rows, want_trace) = reference_run(&g, k, max_rounds);
-    let (result, got_trace) =
-        distributed_run(GRAPH_SPEC, shards, max_rounds, Duration::from_secs(60), &[]);
-    let outcome = result.unwrap_or_else(|e| panic!("{shards}-worker run failed: {e}"));
-    assert_eq!(
-        outcome.report, want_report,
-        "{shards}-worker RunReport diverged from the in-process engine"
+    let (want, want_trace) = reference_run(&g, k, max_rounds, plan.as_ref());
+    let (result, got_trace) = distributed_run(
+        GRAPH_SPEC,
+        shards,
+        max_rounds,
+        Duration::from_secs(60),
+        &[],
+        plan,
     );
+    let got = result.map(|o| (o.report, o.outputs));
     assert_eq!(
-        outcome.outputs, want_rows,
-        "{shards}-worker harvested parents diverged"
+        got, want,
+        "{label}: socket run diverged from the in-process engine (report, outputs or error)"
     );
     if got_trace != want_trace {
         // keep both traces on disk for the CI artifact upload before
@@ -135,12 +159,9 @@ fn assert_parity(shards: usize) {
         // in a panic message
         let dir = std::path::Path::new("target/transport-parity");
         std::fs::create_dir_all(dir).expect("create trace dump dir");
-        std::fs::write(
-            dir.join(format!("{shards}proc-inprocess.jsonl")),
-            &want_trace,
-        )
-        .expect("dump in-process trace");
-        std::fs::write(dir.join(format!("{shards}proc-socket.jsonl")), &got_trace)
+        std::fs::write(dir.join(format!("{label}-inprocess.jsonl")), &want_trace)
+            .expect("dump in-process trace");
+        std::fs::write(dir.join(format!("{label}-socket.jsonl")), &got_trace)
             .expect("dump socket trace");
         let line = want_trace
             .lines()
@@ -148,16 +169,28 @@ fn assert_parity(shards: usize) {
             .position(|(a, b)| a != b)
             .map_or("the tail".to_string(), |l| format!("line {}", l + 1));
         panic!(
-            "{shards}-worker JSONL trace diverged from the in-process engine at {line}; \
+            "{label}: JSONL trace diverged from the in-process engine at {line}; \
              both traces written to {}",
             dir.display()
         );
     }
-    let summary = trace::validate_str(&got_trace, None)
-        .unwrap_or_else(|e| panic!("{shards}-worker trace failed validation: {e}"));
+    (want, want_trace)
+}
+
+fn assert_parity(shards: usize) {
+    let label = format!("{shards}proc");
+    let (outcome, trace) = assert_parity_under(shards, None, &label);
+    let (want_report, _) = outcome.unwrap_or_else(|e| panic!("{label} run failed: {e}"));
+    let summary = trace::validate_str(&trace, None)
+        .unwrap_or_else(|e| panic!("{label} trace failed validation: {e}"));
     assert_eq!(summary.runs.len(), 1);
     assert_eq!(summary.runs[0].recorded, want_report);
     assert_eq!(summary.runs[0].derived, want_report);
+}
+
+/// The edge whose link goes down in the fault legs.
+fn outage_edge() -> kdom::graph::EdgeId {
+    graph_of(GRAPH_SPEC).edges()[100].id
 }
 
 #[test]
@@ -170,11 +203,51 @@ fn four_process_run_is_byte_identical_to_in_process() {
     assert_parity(4);
 }
 
+/// Drops and a link outage are drawn coordinator-side, in the
+/// in-process merge order, so the lossy run completes identically.
+#[test]
+fn two_process_run_under_drops_and_an_outage_is_byte_identical() {
+    let plan = FaultPlan::new(7)
+        .drop_prob(0.02)
+        .link_down(outage_edge(), 5, 60);
+    let (outcome, _) = assert_parity_under(2, Some(plan), "2proc-lossy");
+    let (report, _) = outcome.unwrap_or_else(|e| panic!("the lossy run must complete: {e}"));
+    assert_eq!(report.messages, 84_797);
+    assert_eq!(report.dropped_messages, 1_719);
+}
+
+/// Duplicated copies reach SimpleMST, which answers each one, so the
+/// run double-sends; both sides must stop at the same violation with
+/// the same trace up to it.
+#[test]
+fn two_process_run_under_duplication_fails_with_the_same_violation() {
+    let plan = FaultPlan::new(7)
+        .drop_prob(0.05)
+        .dup_prob(0.1)
+        .link_down(outage_edge(), 5, 60);
+    let (outcome, _) = assert_parity_under(2, Some(plan), "2proc-dup");
+    assert_eq!(
+        outcome.map(|_| ()),
+        Err(SimError::CongestViolation {
+            node: NodeId(68),
+            port: Port(0),
+            round: 19,
+        })
+    );
+}
+
 #[test]
 fn killing_a_worker_mid_run_is_a_typed_peer_lost() {
     let timeout = Duration::from_millis(2000);
     let started = Instant::now();
-    let (result, _) = distributed_run(SMALL_SPEC, 2, 10_000, timeout, &["--die-at-round", "5"]);
+    let (result, _) = distributed_run(
+        SMALL_SPEC,
+        2,
+        10_000,
+        timeout,
+        &["--die-at-round", "5"],
+        None,
+    );
     let err = result.expect_err("a dead worker must fail the run");
     let SimError::PeerLost { peer, round, .. } = &err else {
         panic!("expected PeerLost, got {err}");
