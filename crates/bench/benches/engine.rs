@@ -9,8 +9,8 @@
 //! overhead instead.
 
 use kdom_bench::harness::{
-    can_bench_threads, check_regression_gate, note_extra, note_mode, note_rounds,
-    record_measurement, write_engine_json, Criterion, Histogram,
+    can_bench_threads, check_regression_gate, note_extra, note_rounds, record_measurement,
+    write_engine_json, Criterion, Histogram,
 };
 use kdom_bench::{criterion_group, criterion_main};
 use kdom_congest::engine::run_reference_loop;
@@ -27,14 +27,8 @@ fn mst_nodes(g: &Graph, k: usize) -> Vec<FragmentNode> {
         .collect()
 }
 
-/// The historical zero-copy engine configuration. Wire-exact became the
-/// engine default, so the long-standing leg names (`active-set-1t`, …)
-/// pin it **off** to keep measuring what they always measured; the
-/// explicit `-wire-exact` legs measure the codec on top.
 fn engine_cfg(threads: usize) -> EngineConfig {
-    EngineConfig::default()
-        .with_threads(threads)
-        .with_wire_exact(false)
+    EngineConfig::default().with_threads(threads)
 }
 
 /// BFS on a 2000-node path: diameter-bound rounds where only the frontier
@@ -75,7 +69,6 @@ fn bench_bfs_path(c: &mut Criterion) {
             }),
         });
         note_rounds(&format!("engine/bfs_path2000/{leg}"), ref_report.rounds);
-        note_mode(&format!("engine/bfs_path2000/{leg}"), "zero-copy");
     }
     g.finish();
 }
@@ -94,14 +87,6 @@ fn bench_simple_mst(c: &mut Criterion) {
         ("legacy-loop", None),
         ("active-set-1t", Some(engine_cfg(1))),
         ("active-set-4t", Some(engine_cfg(4))),
-        // codec-overhead probe: every message round-trips through the
-        // branchless codec via the per-worker scratch. This is the leg
-        // the wire-exact-by-default decision rests on: it must stay
-        // within a small factor of `active-set-1t` on the same run.
-        (
-            "active-set-1t-wire-exact",
-            Some(engine_cfg(1).with_wire_exact(true)),
-        ),
     ];
     for (leg, cfg) in legs {
         if let Some(cfg) = cfg {
@@ -134,15 +119,9 @@ fn bench_simple_mst(c: &mut Criterion) {
                 sim.run(1_000_000).map(|r| r.rounds)
             }),
         });
-        let row = format!("engine/simple_mst_grid2500/{leg}");
-        note_rounds(&row, ref_report.rounds);
-        note_mode(
-            &row,
-            if cfg.is_some_and(|c| c.wire_exact) {
-                "wire-exact"
-            } else {
-                "zero-copy"
-            },
+        note_rounds(
+            &format!("engine/simple_mst_grid2500/{leg}"),
+            ref_report.rounds,
         );
     }
     g.finish();
@@ -156,9 +135,9 @@ fn bench_simple_mst(c: &mut Criterion) {
 /// total — so "rounds/second" can be read honestly: executed rounds are
 /// timed, skipped rounds are counted.
 ///
-/// Runs in wire-exact mode (the engine default) with codec profiling on,
-/// so the encode/decode share of the per-round cost is split out of the
-/// aggregate: `codec_ns`/`codec_msgs` land in the JSON row as extras.
+/// Runs with codec profiling on, so the encode/decode share of the
+/// per-round cost is split out of the aggregate: `codec_ns`/`codec_msgs`
+/// land in the JSON row as extras.
 fn profile_round_walltime(_c: &mut Criterion) {
     let graph = Family::Grid.generate(2500, 7);
     let k = 25;
@@ -192,14 +171,13 @@ fn profile_round_walltime(_c: &mut Criterion) {
         hist.count()
     );
     eprintln!(
-        "    codec (wire-exact): {:.2}% of wall — {:.1} ms over {codec_msgs} messages ({:.0} ns/msg)",
+        "    codec: {:.2}% of wall — {:.1} ms over {codec_msgs} messages ({:.0} ns/msg)",
         codec_ns as f64 / 1e9 / wall.max(1e-12) * 100.0,
         codec_ns as f64 / 1e6,
         codec_ns as f64 / (codec_msgs.max(1)) as f64
     );
     record_measurement(name, wall);
     note_rounds(name, simulated);
-    note_mode(name, "wire-exact");
     note_extra(name, "executed_rounds", hist.count());
     note_extra(name, "ff_skipped_rounds", ff_skipped);
     note_extra(name, "ff_jumps", ff_jumps);
@@ -210,14 +188,12 @@ fn profile_round_walltime(_c: &mut Criterion) {
 /// The full Fast-MST composition on a ~1600-node grid; the composed
 /// runners read `KDOM_THREADS` from the environment, so the legs are
 /// driven through env vars (the bench harness is one thread, so the
-/// mutation is race-free). `KDOM_WIRE` is left unset, so these legs run
-/// wire-exact — the engine default — and are tagged as such.
+/// mutation is race-free).
 fn bench_fast_mst(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine/fast_mst_grid1600");
     let graph = Family::Grid.generate(1600, 11);
 
     std::env::remove_var("KDOM_THREADS");
-    std::env::remove_var("KDOM_WIRE");
     let want = fast_mst(&graph);
     for (leg, threads) in [("active-set-1t", "1"), ("active-set-4t", "4")] {
         std::env::set_var("KDOM_THREADS", threads);
@@ -233,9 +209,10 @@ fn bench_fast_mst(c: &mut Criterion) {
             continue;
         }
         g.bench_function(leg, |b| b.iter(|| fast_mst(std::hint::black_box(&graph))));
-        let row = format!("engine/fast_mst_grid1600/{leg}");
-        note_rounds(&row, want.total_rounds());
-        note_mode(&row, "wire-exact");
+        note_rounds(
+            &format!("engine/fast_mst_grid1600/{leg}"),
+            want.total_rounds(),
+        );
     }
     std::env::remove_var("KDOM_THREADS");
     g.finish();
@@ -243,8 +220,8 @@ fn bench_fast_mst(c: &mut Criterion) {
 
 /// Codec microbench: raw bit I/O and full message round-trips through
 /// the branchless codec, with and without scratch-buffer reuse. These
-/// rows quantify the per-message cost that wire-exact execution adds to
-/// every engine send.
+/// rows quantify the per-message cost the codec adds to every engine
+/// send.
 fn bench_wire_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire_codec");
 
@@ -325,10 +302,8 @@ fn bench_wire_codec(c: &mut Criterion) {
 /// scheduler, cache-cold (`miss-grid64`, every job invokes the engine)
 /// and fully cached (`hit-grid64`, the identical sweep resubmitted —
 /// zero engine invocations, results served by pointer clone). Hand-timed
-/// single passes, like the million-node rows: a sweep is a batch, not an
-/// iterable microbench. Tagged `mode: "sweep"` so the regression gate
-/// only ever compares these rows against other sweep rows, never against
-/// engine legs.
+/// single passes, like the million-node row: a sweep is a batch, not an
+/// iterable microbench.
 fn bench_sweep_throughput(_c: &mut Criterion) {
     use kdom_congest::{JobPool, JobStatus, RunSpec, SweepSpec};
     let graph = std::sync::Arc::new(Family::Grid.generate(256, 21));
@@ -357,7 +332,6 @@ fn bench_sweep_throughput(_c: &mut Criterion) {
         eprintln!("  {leg}: {wall:.3}s for {jobs} jobs ({jobs_per_sec:.0} jobs/s)");
         let name = format!("jobs/sweep_throughput/{leg}");
         record_measurement(&name, wall);
-        note_mode(&name, "sweep");
         note_extra(&name, "jobs", jobs);
         note_extra(&name, "jobs_per_sec", jobs_per_sec as u64);
     }
@@ -366,14 +340,13 @@ fn bench_sweep_throughput(_c: &mut Criterion) {
     assert_eq!(stats.cache.hits, 64, "all 64 resubmissions must hit");
 }
 
-/// Million-node rows: the full Fast-MST composition (`k = ⌈√n⌉ = 1000`)
-/// on a streamed `G(n, m)` graph with 10^6 nodes and 2×10^6 edges, once
-/// zero-copy (`KDOM_WIRE=off`) and once wire-exact (the default). Each
-/// is timed as a single iteration — the run is far past the harness
-/// batch budget — and the reported engine peak memory lands in the JSON
-/// as an extra, where the trace validator and the CI budget assert can
-/// see it. Skipped in smoke runs (`KDOM_BENCH_MS=0`): CI covers this
-/// scale with the dedicated `large-graph` job at 10^5 nodes instead.
+/// Million-node row: the full Fast-MST composition (`k = ⌈√n⌉ = 1000`)
+/// on a streamed `G(n, m)` graph with 10^6 nodes and 2×10^6 edges, timed
+/// as a single iteration — the run is far past the harness batch budget
+/// — with the reported engine peak memory as an extra, where the trace
+/// validator and the CI budget assert can see it. Skipped in smoke runs
+/// (`KDOM_BENCH_MS=0`): CI covers this scale with the dedicated
+/// `large-graph` job at 10^5 nodes instead.
 fn bench_fast_mst_rand1m(_c: &mut Criterion) {
     let smoke = kdom_graph::knob::knob("KDOM_BENCH_MS", 300u64) == 0;
     if smoke {
@@ -384,39 +357,18 @@ fn bench_fast_mst_rand1m(_c: &mut Criterion) {
             2_000_000,
         );
         eprintln!("group engine/fast_mst_rand1M");
-        for (leg, wire, mode) in [
-            ("active-set-1t", Some("off"), "zero-copy"),
-            ("active-set-1t-wire-exact", None, "wire-exact"),
-        ] {
-            match wire {
-                Some(v) => std::env::set_var("KDOM_WIRE", v),
-                None => std::env::remove_var("KDOM_WIRE"),
-            }
-            let name = format!("engine/fast_mst_rand1M/{leg}");
-            let start = std::time::Instant::now();
-            let run = fast_mst(std::hint::black_box(&graph));
-            let wall = start.elapsed().as_secs_f64();
-            eprintln!(
-                "  {leg}: {:.2}s, peak {} MiB",
-                wall,
-                run.pipeline_report.peak_memory_bytes >> 20
-            );
-            assert_eq!(run.mst_edges.len(), graph.node_count() - 1);
-            assert!(
-                run.pipeline_report.peak_memory_bytes > 0,
-                "pipeline must report peak memory"
-            );
-            record_measurement(&name, wall);
-            note_rounds(&name, run.total_rounds());
-            note_mode(&name, mode);
-            note_extra(
-                &name,
-                "peak_mem_bytes",
-                run.pipeline_report.peak_memory_bytes,
-            );
-            note_extra(&name, "graph_mem_bytes", graph.memory_bytes());
-        }
-        std::env::remove_var("KDOM_WIRE");
+        let name = "engine/fast_mst_rand1M/active-set-1t";
+        let start = std::time::Instant::now();
+        let run = fast_mst(std::hint::black_box(&graph));
+        let wall = start.elapsed().as_secs_f64();
+        let peak = run.pipeline_report.peak_memory_bytes;
+        eprintln!("  active-set-1t: {wall:.2}s, peak {} MiB", peak >> 20);
+        assert_eq!(run.mst_edges.len(), graph.node_count() - 1);
+        assert!(peak > 0, "pipeline must report peak memory");
+        record_measurement(name, wall);
+        note_rounds(name, run.total_rounds());
+        note_extra(name, "peak_mem_bytes", peak);
+        note_extra(name, "graph_mem_bytes", graph.memory_bytes());
     }
     // gate against the committed baseline before replacing it
     check_regression_gate();

@@ -20,10 +20,6 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug)]
 struct Sample {
     name: String,
-    /// Codec mode the target ran under (e.g. `wire-exact`, `zero-copy`).
-    /// Part of the gate's matching key, so a mode flip can never compare
-    /// a wire-exact median against a zero-copy baseline row.
-    mode: Option<String>,
     median_secs: f64,
     rounds: Option<u64>,
     extras: Vec<(String, u64)>,
@@ -45,7 +41,6 @@ fn record(name: &str, median_secs: f64) {
     let mut r = RESULTS.lock().unwrap();
     r.push(Sample {
         name: name.to_string(),
-        mode: None,
         median_secs,
         rounds: None,
         extras: Vec::new(),
@@ -58,20 +53,6 @@ pub fn note_rounds(name: &str, rounds: u64) {
     let mut r = RESULTS.lock().unwrap();
     if let Some(s) = r.iter_mut().rev().find(|s| s.name == name) {
         s.rounds = Some(rounds);
-    }
-}
-
-/// Tags the most recent measurement named `name` with the codec mode it
-/// ran under (`"wire-exact"` / `"zero-copy"`). The mode becomes part of
-/// the regression gate's matching key: a target row only gates against a
-/// baseline row with the *same* name **and** mode, so flipping the
-/// default codec can never silently compare wire-exact medians against
-/// zero-copy baselines (they just stop matching until the baseline is
-/// regenerated).
-pub fn note_mode(name: &str, mode: &str) {
-    let mut r = RESULTS.lock().unwrap();
-    if let Some(s) = r.iter_mut().rev().find(|s| s.name == name) {
-        s.mode = Some(mode.to_string());
     }
 }
 
@@ -131,10 +112,6 @@ pub fn write_json(file_name: &str) -> std::io::Result<PathBuf> {
     for (i, s) in results.iter().enumerate() {
         let name = s.name.replace('\\', "\\\\").replace('"', "\\\"");
         out.push_str(&format!("    {{\"name\": \"{name}\""));
-        if let Some(mode) = &s.mode {
-            let mode = mode.replace('\\', "\\\\").replace('"', "\\\"");
-            out.push_str(&format!(", \"mode\": \"{mode}\""));
-        }
         out.push_str(&format!(", \"median_secs\": {:.9}", s.median_secs));
         if let Some(rounds) = s.rounds {
             let rps = rounds as f64 / s.median_secs.max(1e-12);
@@ -211,8 +188,8 @@ pub fn check_regression_gate() {
         .filter(|s| is_probe(&s.name) && s.median_secs > 0.0)
         .filter_map(|s| {
             old.iter()
-                .find(|(n, mode, m)| n == &s.name && mode == &s.mode && *m > 0.0)
-                .map(|(_, _, m)| s.median_secs / m)
+                .find(|(n, m)| n == &s.name && *m > 0.0)
+                .map(|(_, m)| s.median_secs / m)
         })
         .collect();
     assert!(
@@ -225,13 +202,7 @@ pub fn check_regression_gate() {
     let mut regressions = Vec::new();
     let mut compared = 0usize;
     for s in results.iter().filter(|s| !is_probe(&s.name)) {
-        let Some(&was) = old
-            .iter()
-            // the mode is part of the key: a wire-exact median never
-            // gates against a zero-copy baseline row (or vice versa)
-            .find(|(n, mode, _)| n == &s.name && mode == &s.mode)
-            .map(|(_, _, m)| m)
-        else {
+        let Some(&was) = old.iter().find(|(n, _)| n == &s.name).map(|(_, m)| m) else {
             continue;
         };
         compared += 1;
@@ -251,19 +222,17 @@ pub fn check_regression_gate() {
         compared > 0,
         "bench gate: no engine targets shared with the committed baseline — gate would be vacuous"
     );
-    // The inverse direction: a baseline row whose (name, mode) no
-    // longer shows up in the fresh run means that target silently
-    // stopped being gated — usually a renamed bench or a dropped mode.
-    // Warn per row, and refuse to pass if the gate lost most of its
-    // coverage.
-    let baseline_rows: Vec<_> = old.iter().filter(|(n, _, _)| !is_probe(n)).collect();
+    // The inverse direction: a baseline row whose name no longer shows
+    // up in the fresh run means that target silently stopped being
+    // gated — usually a renamed or retired bench. Warn per row, and
+    // refuse to pass if the gate lost most of its coverage.
+    let baseline_rows: Vec<_> = old.iter().filter(|(n, _)| !is_probe(n)).collect();
     let mut unmatched = 0usize;
-    for (name, mode, _) in &baseline_rows {
-        if !results.iter().any(|s| &s.name == name && &s.mode == mode) {
+    for (name, _) in &baseline_rows {
+        if !results.iter().any(|s| &s.name == name) {
             unmatched += 1;
             eprintln!(
-                "bench gate: warning: baseline row {name} (mode {}) has no fresh counterpart — it is no longer gated",
-                mode.as_deref().unwrap_or("-")
+                "bench gate: warning: baseline row {name} has no fresh counterpart — it is no longer gated"
             );
         }
     }
@@ -286,12 +255,10 @@ pub fn check_regression_gate() {
     );
 }
 
-/// Extracts `(name, mode, median_secs)` triples from a
-/// `BENCH_engine.json` document — a line-oriented scrape of the fixed
-/// format [`write_engine_json`] emits, so the workspace stays
-/// dependency-free. Rows without a `mode` field (older baselines)
-/// parse as `None`.
-fn parse_medians(json: &str) -> Vec<(String, Option<String>, f64)> {
+/// Extracts `(name, median_secs)` pairs from a `BENCH_engine.json`
+/// document — a line-oriented scrape of the fixed format
+/// [`write_engine_json`] emits, so the workspace stays dependency-free.
+fn parse_medians(json: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     for line in json.lines() {
         let Some(rest) = line.split("\"name\": \"").nth(1) else {
@@ -300,11 +267,6 @@ fn parse_medians(json: &str) -> Vec<(String, Option<String>, f64)> {
         let Some(name) = rest.split('"').next() else {
             continue;
         };
-        let mode = rest
-            .split("\"mode\": \"")
-            .nth(1)
-            .and_then(|m| m.split('"').next())
-            .map(str::to_string);
         let Some(med) = rest
             .split("\"median_secs\": ")
             .nth(1)
@@ -313,7 +275,7 @@ fn parse_medians(json: &str) -> Vec<(String, Option<String>, f64)> {
         else {
             continue;
         };
-        out.push((name.to_string(), mode, med));
+        out.push((name.to_string(), med));
     }
     out
 }
@@ -618,15 +580,15 @@ mod tests {
             "{\n  \"nproc\": 1,\n  \"targets\": [\n",
             "    {\"name\": \"engine/a/legacy-loop\", \"median_secs\": 0.135995919, ",
             "\"rounds\": 2001, \"rounds_per_sec\": 14713.7},\n",
-            "    {\"name\": \"engine/b\", \"mode\": \"wire-exact\", \"median_secs\": 0.5}\n",
+            "    {\"name\": \"engine/b\", \"median_secs\": 0.5, \"codec_ns\": 7}\n",
             "  ]\n}\n"
         );
         let m = parse_medians(doc);
         assert_eq!(
             m,
             vec![
-                ("engine/a/legacy-loop".to_string(), None, 0.135995919),
-                ("engine/b".to_string(), Some("wire-exact".to_string()), 0.5),
+                ("engine/a/legacy-loop".to_string(), 0.135995919),
+                ("engine/b".to_string(), 0.5),
             ]
         );
     }

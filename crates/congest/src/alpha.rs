@@ -231,41 +231,29 @@ impl<M: Message> Wire for Frame<M> {
     }
 }
 
-/// What actually travels through the event queue: the in-memory frame on
-/// the default path, or — under wire-exact execution — the encoded bit
+/// What actually travels through the event queue: the encoded bit
 /// frame, decoded only at delivery. The payload flag is stored so
 /// in-flight accounting never needs to decode.
 #[derive(Clone, Debug)]
-enum Packet<M> {
-    Typed(Frame<M>),
-    Bits { frame: WireFrame, payload: bool },
+struct Packet {
+    frame: WireFrame,
+    payload: bool,
 }
 
-impl<M: Message> Packet<M> {
-    fn carries_payload(&self) -> bool {
-        match self {
-            Packet::Typed(f) => f.carries_payload(),
-            Packet::Bits { payload, .. } => *payload,
-        }
-    }
-
-    /// Encoded link-layer size of this frame, identical on both paths.
-    fn bits(&self) -> u64 {
-        match self {
-            Packet::Typed(f) => f.encoded_bits(),
-            Packet::Bits { frame, .. } => frame.bits(),
+impl Packet {
+    /// Encodes `frame` to its link representation.
+    fn of<M: Message>(frame: &Frame<M>) -> Self {
+        Packet {
+            frame: frame.to_frame(),
+            payload: frame.carries_payload(),
         }
     }
 }
 
 /// A scheduled simulation event.
-enum Event<M> {
+enum Event {
     /// `pkt` arrives at `to` over its local `port`.
-    Deliver {
-        to: usize,
-        port: Port,
-        pkt: Packet<M>,
-    },
+    Deliver { to: usize, port: Port, pkt: Packet },
     /// The retransmission timer of `(from, port, seq)` fires.
     Retx { from: usize, port: Port, seq: u64 },
 }
@@ -292,7 +280,7 @@ pub struct AlphaSimulator<'g, P: Protocol> {
     graph: &'g Graph,
     nodes: Vec<NodeState<P>>,
     /// Time-ordered, FIFO-stable event queue from the shared event core.
-    queue: EventQueue<Event<P::Msg>>,
+    queue: EventQueue<Event>,
     rng: StdRng,
     max_delay: u64,
     report: AlphaReport,
@@ -315,11 +303,7 @@ pub struct AlphaSimulator<'g, P: Protocol> {
     last_activity: u64,
     /// Pooled outbox slab handed to the shared round executor.
     outbox_pool: Vec<Option<P::Msg>>,
-    /// Wire-exact execution (the default; `KDOM_WIRE=off` or
-    /// [`AlphaSimulator::wire_exact`] disables it): frames are encoded
-    /// at send and decoded at delivery (see [`Packet`]).
-    exact: bool,
-    /// Reused codec buffers for the wire-exact delivery check.
+    /// Reused codec buffers for the delivery check.
     codec: CodecScratch,
     /// First CONGEST violation observed; surfaced by [`Self::run`].
     violation: Option<SimError>,
@@ -382,30 +366,10 @@ impl<'g, P: Protocol> AlphaSimulator<'g, P> {
             unacked_payloads: 0,
             last_activity: 0,
             outbox_pool: Vec::new(),
-            // same fail-fast alias table as `EngineConfig::from_env`
-            exact: kdom_graph::knob::knob_enum(
-                "KDOM_WIRE",
-                true,
-                &[
-                    (&["off", "0", "false", "no", "zero-copy"], false),
-                    (&["exact", "1", "on", "true", "yes", "wire-exact"], true),
-                ],
-            ),
             codec: CodecScratch::new(),
             violation: None,
             trace: crate::trace::from_env(),
         }
-    }
-
-    /// Enables (or disables) wire-exact execution explicitly, overriding
-    /// the environment default (**on** unless `KDOM_WIRE=off`): every
-    /// frame is encoded to its bit representation at send and decoded
-    /// back at delivery, with a round-trip mismatch surfacing as
-    /// [`SimError::WireMismatch`]. Reports are byte-identical to the
-    /// zero-copy in-memory path.
-    pub fn wire_exact(mut self, on: bool) -> Self {
-        self.exact = on;
-        self
     }
 
     /// Attaches a [`TraceSink`] for this run, replacing the
@@ -445,38 +409,23 @@ impl<'g, P: Protocol> AlphaSimulator<'g, P> {
     }
 
     /// Pushes `ev` at absolute time `at`, maintaining payload accounting.
-    fn enqueue(&mut self, at: u64, ev: Event<P::Msg>) {
+    fn enqueue(&mut self, at: u64, ev: Event) {
         if let Event::Deliver { pkt, .. } = &ev {
-            if pkt.carries_payload() {
+            if pkt.payload {
                 self.inflight_payloads += 1;
             }
         }
         self.queue.push(at, ev);
     }
 
-    /// Commits `frame` to its link representation: the encoded bit frame
-    /// under wire-exact execution, the in-memory frame otherwise.
-    fn packetize(&self, frame: Frame<P::Msg>) -> Packet<P::Msg> {
-        if self.exact {
-            Packet::Bits {
-                payload: frame.carries_payload(),
-                frame: frame.to_frame(),
-            }
-        } else {
-            Packet::Typed(frame)
-        }
-    }
-
-    /// Physically transmits `frame` over `(from, port)` through the fault
-    /// injector (drops, duplicates, extra delay, down links). The frame
-    /// is packetized *before* the injector and delay draws, so the RNG
-    /// stream — and therefore the whole run — is identical with and
-    /// without wire-exact execution.
+    /// Physically transmits `frame` over `(from, port)` as its encoded
+    /// bit frame, through the fault injector (drops, duplicates, extra
+    /// delay, down links).
     fn physical_send(&mut self, now: u64, from: usize, port: Port, frame: Frame<P::Msg>) {
         let arc = self.graph.neighbors(NodeId(from))[port.0];
         let to = arc.to.0;
         let back = Port(self.graph.twin_port(NodeId(from), port.0));
-        let pkt = self.packetize(frame);
+        let pkt = Packet::of(&frame);
         match self.injector.as_mut() {
             None => {
                 let delay = self.rng.random_range(1..=self.max_delay);
@@ -547,7 +496,7 @@ impl<'g, P: Protocol> AlphaSimulator<'g, P> {
         for p in 0..self.graph.degree(NodeId(v)) {
             let arc = self.graph.neighbors(NodeId(v))[p];
             let back = Port(self.graph.twin_port(NodeId(v), p));
-            let pkt = self.packetize(Frame::Down);
+            let pkt = Packet::of(&Frame::<P::Msg>::Down);
             self.enqueue(
                 now + 1,
                 Event::Deliver {
@@ -880,7 +829,7 @@ impl<'g, P: Protocol> AlphaSimulator<'g, P> {
             self.report.virtual_time = self.report.virtual_time.max(time);
             match ev {
                 Event::Deliver { to, port, pkt } => {
-                    let is_payload = pkt.carries_payload();
+                    let is_payload = pkt.payload;
                     if is_payload {
                         self.inflight_payloads -= 1;
                     }
@@ -896,22 +845,17 @@ impl<'g, P: Protocol> AlphaSimulator<'g, P> {
                         // by the Down frame, not by an ack
                         continue;
                     }
-                    let link_bits = pkt.bits();
-                    let frame = match pkt {
-                        Packet::Typed(frame) => frame,
-                        Packet::Bits { frame: wf, .. } => {
-                            match self.codec.check_frame::<Frame<P::Msg>>(&wf) {
-                                Ok(decoded) => decoded,
-                                Err(detail) => {
-                                    self.violation.get_or_insert(SimError::WireMismatch {
-                                        node: NodeId(to),
-                                        port,
-                                        round: time,
-                                        detail,
-                                    });
-                                    continue;
-                                }
-                            }
+                    let link_bits = pkt.frame.bits();
+                    let frame = match self.codec.check_frame::<Frame<P::Msg>>(&pkt.frame) {
+                        Ok(decoded) => decoded,
+                        Err(detail) => {
+                            self.violation.get_or_insert(SimError::WireMismatch {
+                                node: NodeId(to),
+                                port,
+                                round: time,
+                                detail,
+                            });
+                            continue;
                         }
                     };
                     if is_payload {
@@ -1285,23 +1229,16 @@ mod tests {
     }
 
     #[test]
-    fn wire_exact_alpha_matches_default_run() {
+    fn reliable_alpha_charges_payload_and_control_bits() {
         let g = gnp_connected(&GenConfig::with_seed(20, 5), 0.2);
         let plan = FaultPlan::new(11).drop_prob(0.15).dup_prob(0.05);
-        let run = |exact: bool| {
-            let cfg = ReliableConfig::for_delays(3, plan.max_extra_delay);
-            let mut sim = AlphaSimulator::with_faults(&g, bfs_nodes(20), 9, 3, &plan)
-                .reliable(cfg)
-                .wire_exact(exact);
-            let report = sim.run(10_000).unwrap();
-            (sim.into_nodes(), report)
-        };
-        let (na, a) = run(false);
-        let (nb, b) = run(true);
-        assert_eq!(a, b, "wire-exact execution must not perturb the run");
-        assert!(a.payload_bits > 0 && a.control_bits > 0);
-        for v in 0..20 {
-            assert_eq!(na[v].dist, nb[v].dist);
+        let cfg = ReliableConfig::for_delays(3, plan.max_extra_delay);
+        let mut sim = AlphaSimulator::with_faults(&g, bfs_nodes(20), 9, 3, &plan).reliable(cfg);
+        let report = sim.run(10_000).unwrap();
+        assert!(report.payload_bits > 0 && report.control_bits > 0);
+        let want = bfs_distances(&g, kdom_graph::NodeId(0));
+        for (v, node) in sim.into_nodes().iter().enumerate() {
+            assert_eq!(node.dist, Some(want[v]));
         }
     }
 }

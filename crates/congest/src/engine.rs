@@ -30,9 +30,9 @@
 //!    — the RNG stream, `send` events — the engine falls back to the
 //!    core's sequential merge, replaying staged sends in ascending node
 //!    order, so traced and fault-injected runs remain byte-identical
-//!    across thread counts too. Wire-exact mode (the default) rides the
-//!    bucketed merge: each worker round-trips its own staged frames
-//!    through a reused [`CodecScratch`] at staging time — verification is
+//!    across thread counts too. Every send crosses as its bit frame; on
+//!    the bucketed merge each worker transcodes its own staged frames
+//!    through a reused [`CodecScratch`] at staging time — the check is
 //!    per-message-local, so it needs no global order — and stages the
 //!    *decoded* message. After an error ([`SimError::CongestViolation`] /
 //!    [`SimError::WireMismatch`]) the reported counters still match the
@@ -45,7 +45,7 @@
 //!
 //! Configuration comes from [`EngineConfig`], which the convenience
 //! runners fill from the environment: `KDOM_THREADS`, `KDOM_FASTFWD`,
-//! `KDOM_DENSE_PCT`, `KDOM_SHARD_MIN`, and `KDOM_WIRE`.
+//! `KDOM_DENSE_PCT`, and `KDOM_SHARD_MIN`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -85,17 +85,8 @@ pub struct EngineConfig {
     /// `size_bits() <= bit_budget` (see [`crate::congest_budget`]).
     /// Release builds ignore it.
     pub bit_budget: Option<u64>,
-    /// Wire-exact execution: encode every message to its bit frame at
-    /// send and deliver the *decoded* frame (a decode failure — or, in
-    /// debug builds and the sequential merge, any round-trip mismatch —
-    /// aborts with [`SimError::WireMismatch`]). Proves the automata
-    /// depend only on what is actually on the wire; reports are
-    /// byte-identical to the zero-copy path. **On by default** since the
-    /// branchless codec made it nearly free; `KDOM_WIRE=off` restores
-    /// the zero-copy path.
-    pub wire_exact: bool,
-    /// Accumulate wall-clock spent in the wire codec (wire-exact mode's
-    /// per-send encode+decode transcodes), readable via
+    /// Accumulate wall-clock spent in the wire codec (the per-send
+    /// encode+decode transcodes), readable via
     /// [`Simulator::codec_stats`](crate::Simulator::codec_stats). Off by
     /// default — the hot path then carries no timer calls. Never part of
     /// [`RunReport`], so reports stay byte-identical whether or not
@@ -111,7 +102,6 @@ impl Default for EngineConfig {
             dense_pct: 75,
             shard_min: 1024,
             bit_budget: None,
-            wire_exact: true,
             codec_profile: false,
         }
     }
@@ -120,17 +110,13 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// Reads the configuration from the environment:
     ///
-    /// - `KDOM_THREADS`: worker count in `1..=256`;
+    /// - `KDOM_THREADS`: worker count ([`EngineConfig::check_threads`]);
     /// - `KDOM_FASTFWD`: `0`/`off`/`false`/`no` disables fast-forward,
     ///   `1`/`on`/`true`/`yes` keeps it on (the default when unset);
-    /// - `KDOM_DENSE_PCT`: dense-scan fallback threshold in `0..=300`
-    ///   percent (the merged estimate counts each node at most thrice, so
-    ///   larger values could never trigger);
-    /// - `KDOM_SHARD_MIN`: minimum active nodes per worker shard, at
-    ///   least 1;
-    /// - `KDOM_WIRE`: `off` (or `0`/`false`/`no`/`zero-copy`) disables
-    ///   wire-exact execution, `exact` (or `1`/`on`/`true`/`yes`/
-    ///   `wire-exact`) keeps the wire-exact default.
+    /// - `KDOM_DENSE_PCT`: dense-scan fallback threshold
+    ///   ([`EngineConfig::check_dense_pct`]);
+    /// - `KDOM_SHARD_MIN`: minimum active nodes per worker shard
+    ///   ([`EngineConfig::check_shard_min`]).
     ///
     /// # Panics
     ///
@@ -139,53 +125,56 @@ impl EngineConfig {
     /// [`kdom_graph::knob`]) — a typo'd knob must not silently run the
     /// default configuration.
     pub fn from_env() -> Self {
-        use kdom_graph::knob::{knob_checked, knob_enum};
+        use kdom_graph::knob::{knob_checked, knob_flag};
         let defaults = EngineConfig::default();
-        let threads = knob_checked("KDOM_THREADS", 1usize, |&t| {
-            if (1..=256).contains(&t) {
-                Ok(())
-            } else {
-                Err("worker count must be in 1..=256".into())
-            }
-        });
-        let fast_forward = knob_enum(
-            "KDOM_FASTFWD",
-            true,
-            &[
-                (&["0", "off", "false", "no"], false),
-                (&["1", "on", "true", "yes"], true),
-            ],
-        );
-        let dense_pct = knob_checked("KDOM_DENSE_PCT", defaults.dense_pct, |&p| {
-            if p <= 300 {
-                Ok(())
-            } else {
-                Err("dense-scan threshold above 300% can never trigger".into())
-            }
-        });
-        let shard_min = knob_checked("KDOM_SHARD_MIN", defaults.shard_min, |&m| {
-            if m >= 1 {
-                Ok(())
-            } else {
-                Err("shard size must be at least 1".into())
-            }
-        });
-        let wire_exact = knob_enum(
-            "KDOM_WIRE",
-            true,
-            &[
-                (&["off", "0", "false", "no", "zero-copy"], false),
-                (&["exact", "1", "on", "true", "yes", "wire-exact"], true),
-            ],
-        );
         EngineConfig {
-            threads,
-            fast_forward,
-            dense_pct,
-            shard_min,
-            bit_budget: None,
-            wire_exact,
-            codec_profile: false,
+            threads: knob_checked("KDOM_THREADS", defaults.threads, Self::check_threads),
+            fast_forward: knob_flag("KDOM_FASTFWD", defaults.fast_forward),
+            dense_pct: knob_checked("KDOM_DENSE_PCT", defaults.dense_pct, Self::check_dense_pct),
+            shard_min: knob_checked("KDOM_SHARD_MIN", defaults.shard_min, Self::check_shard_min),
+            ..defaults
+        }
+    }
+
+    /// Accepts a worker count in `1..=256`: the bound every outside
+    /// source of a config (env knobs, service spec tokens) enforces.
+    ///
+    /// # Errors
+    ///
+    /// The violated constraint, for the caller to name its source.
+    pub fn check_threads(&threads: &usize) -> Result<(), String> {
+        if (1..=256).contains(&threads) {
+            Ok(())
+        } else {
+            Err("worker count must be in 1..=256".into())
+        }
+    }
+
+    /// Accepts a dense-scan threshold in `0..=300` percent: the merged
+    /// estimate counts each node at most thrice, so a larger value could
+    /// never trigger.
+    ///
+    /// # Errors
+    ///
+    /// The violated constraint, for the caller to name its source.
+    pub fn check_dense_pct(&pct: &usize) -> Result<(), String> {
+        if pct <= 300 {
+            Ok(())
+        } else {
+            Err("dense-scan threshold above 300% can never trigger".into())
+        }
+    }
+
+    /// Accepts a minimum shard size of at least 1.
+    ///
+    /// # Errors
+    ///
+    /// The violated constraint, for the caller to name its source.
+    pub fn check_shard_min(&shard_min: &usize) -> Result<(), String> {
+        if shard_min >= 1 {
+            Ok(())
+        } else {
+            Err("shard size must be at least 1".into())
         }
     }
 
@@ -216,12 +205,6 @@ impl EngineConfig {
     /// Returns the config with a debug-build CONGEST bit budget.
     pub fn with_bit_budget(mut self, bits: u64) -> Self {
         self.bit_budget = Some(bits);
-        self
-    }
-
-    /// Returns the config with wire-exact execution enabled or not.
-    pub fn with_wire_exact(mut self, on: bool) -> Self {
-        self.wire_exact = on;
         self
     }
 
@@ -364,10 +347,10 @@ struct WorkerScratch<M> {
     sent_bits: u64,
     /// Bucketed mode: widest message this shard staged, in bits.
     max_bits: u64,
-    /// Codec buffers for wire-exact round trips; staging allocates
+    /// Codec buffers for the staging transcodes; staging allocates
     /// nothing per frame.
     codec: Codec,
-    /// Bucketed wire-exact: a round trip failed in this shard. The
+    /// A staging transcode failed in this shard. The
     /// sequential fallback replays every frame in global order so the
     /// mismatch surfaces at its exact sequential position.
     wire_bad: bool,
@@ -404,15 +387,15 @@ impl<M> Default for WorkerScratch<M> {
 /// With `dest_bounds` given (the destination-sharded merge) sends go into
 /// `scratch.buckets`, keyed by which of the destination shards — node
 /// ranges between consecutive bounds — contains the receiving node.
-/// With `wire_exact` additionally true, each staged frame is transcoded
-/// through the shard's codec *here* — the check is per-message-local, so
-/// the bucketed merge keeps its order-freedom — and the **decoded**
-/// message is what gets staged, with the bit count taken from the same
-/// encode; a decode failure sets `scratch.wire_bad`, stages the
-/// original, and the sequential replay re-derives the error in global
-/// order. The caller passes `wire_exact` as false when a fault injector
-/// or trace sink is attached: those runs take the sequential merge,
-/// which performs the round trip itself in exact replay order.
+/// With `transcode`, each staged frame is transcoded through the
+/// shard's codec *here* — the check is per-message-local, so the
+/// bucketed merge keeps its order-freedom — and the **decoded** message
+/// is what gets staged, with the bit count taken from the same encode; a
+/// decode failure sets `scratch.wire_bad`, stages the original, and the
+/// sequential replay re-derives the error in global order. The caller
+/// passes `transcode` as false when a fault injector or trace sink is
+/// attached: those runs stage the original message and take the
+/// sequential merge, which round-trips it in exact replay order.
 #[allow(clippy::too_many_arguments)]
 fn run_shard<P: Protocol>(
     graph: &Graph,
@@ -420,7 +403,7 @@ fn run_shard<P: Protocol>(
     injector: Option<&FaultInjector>,
     round: u64,
     config: EngineConfig,
-    wire_exact: bool,
+    transcode: bool,
     active: &[u32],
     node_base: usize,
     nodes: &mut [P],
@@ -493,12 +476,12 @@ fn run_shard<P: Protocol>(
         let arcs = graph.neighbors(NodeId(v));
         for (p, slot) in scratch.outbox.iter_mut().enumerate() {
             if let Some(msg) = slot.take() {
-                // Wire-exact: what gets staged is the *decoded* frame,
-                // so delivery hands the automaton exactly the bits that
-                // were on the wire. The encode that produces those bits
-                // doubles as the accounting pass — no separate
-                // `size_bits` walk on this path.
-                let (msg, bits) = if wire_exact {
+                // What gets staged is the *decoded* frame, so delivery
+                // hands the automaton exactly the bits that were on the
+                // wire. The encode that produces those bits doubles as
+                // the accounting pass — no separate `size_bits` walk on
+                // this path.
+                let (msg, bits) = if transcode {
                     match scratch
                         .codec
                         .timed(config.codec_profile, |c| c.transcode(&msg))
@@ -667,8 +650,7 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
 
     /// `(nanoseconds, round_trips)` spent in the wire codec so far,
     /// summed over the sequential merge and every worker shard. All
-    /// zeros unless [`EngineConfig::codec_profile`] is set (and then
-    /// only wire-exact runs pay codec time).
+    /// zeros unless [`EngineConfig::codec_profile`] is set.
     pub fn codec_stats(&self) -> (u64, u64) {
         let codecs = std::iter::once(&self.codec).chain(self.scratch.iter().map(|s| &s.codec));
         codecs.fold((0, 0), |(ns, msgs), c| (ns + c.ns, msgs + c.msgs))
@@ -698,7 +680,7 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
         // round trip for ordered runs — fault injection or tracing — or
         // to re-derive a staging failure at its exact replay position.
         let ordered = core.injector.is_some() || core.trace.is_some();
-        let round_trip = self.config.wire_exact && (ordered || scratch.iter().any(|s| s.wire_bad));
+        let round_trip = ordered || scratch.iter().any(|s| s.wire_bad);
         core.open_merge(
             scratch.iter().map(|s| s.staged_meta.len() as u64).sum(),
             scratch.iter().map(|s| s.crash_lost).sum(),
@@ -723,11 +705,11 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
     /// ascending `(sender, port)` order of the sequential merge (the
     /// words are unique per edge direction), so the partial accounting
     /// and delivery state at the abort match a single-threaded run byte
-    /// for byte. In wire-exact mode every frame is round-tripped again
-    /// in that order — idempotent for the frames that already passed at
-    /// staging time, and re-deriving the mismatch at its exact
-    /// sequential position for the one that failed (a wire error at a
-    /// lower node beats a violation cut at a higher one).
+    /// for byte. Every frame is round-tripped again in that order —
+    /// idempotent for the frames that already passed at staging time,
+    /// and re-deriving the mismatch at its exact sequential position for
+    /// the one that failed (a wire error at a lower node beats a
+    /// violation cut at a higher one).
     fn replay_sorted(
         &mut self,
         core: &mut RoundCore<'_, P::Msg>,
@@ -746,7 +728,7 @@ impl<'g, P: Protocol> RoundEngine<'g, P> {
             core,
             &mut self.codec,
             self.config.codec_profile,
-            self.config.wire_exact,
+            true,
             cut,
             entries.into_iter(),
         )?;
@@ -776,10 +758,9 @@ impl<P: Protocol> RoundBackend<P::Msg> for RoundEngine<'_, P> {
         }
         // A fault injector (its RNG stream) and a trace sink (its send
         // events) need the sequential replay order. Everything else can
-        // take order-free paths, with wire-exact frames transcoded at
+        // take order-free paths, with every frame transcoded at
         // staging time: that check is per-message-local.
         let ordered = core.injector.is_some() || core.trace.is_some();
-        let wire_exact = config.wire_exact && !ordered;
         if shards == 1 {
             run_shard(
                 graph,
@@ -787,7 +768,7 @@ impl<P: Protocol> RoundBackend<P::Msg> for RoundEngine<'_, P> {
                 core.injector.as_ref(),
                 core.round,
                 config,
-                wire_exact,
+                !ordered,
                 &core.active,
                 0,
                 &mut self.nodes,
@@ -879,7 +860,7 @@ impl<P: Protocol> RoundBackend<P::Msg> for RoundEngine<'_, P> {
                             injector,
                             round,
                             config,
-                            wire_exact,
+                            !ordered,
                             chunk,
                             node_lo,
                             shard_nodes,
@@ -1231,7 +1212,6 @@ mod tests {
         assert_eq!(cfg.dense_pct, 75);
         assert_eq!(cfg.shard_min, 1024);
         assert_eq!(cfg.bit_budget, None);
-        assert!(cfg.wire_exact, "wire-exact is the default mode");
         assert!(!cfg.codec_profile);
         let cfg = cfg
             .with_threads(4)
@@ -1239,14 +1219,12 @@ mod tests {
             .with_dense_pct(50)
             .with_shard_min(32)
             .with_bit_budget(96)
-            .with_wire_exact(false)
             .with_codec_profile(true);
         assert_eq!(cfg.threads, 4);
         assert!(!cfg.fast_forward);
         assert_eq!(cfg.dense_pct, 50);
         assert_eq!(cfg.shard_min, 32);
         assert_eq!(cfg.bit_budget, Some(96));
-        assert!(!cfg.wire_exact);
         assert!(cfg.codec_profile);
         assert_eq!(cfg.with_threads(0).threads, 1, "zero clamps to one");
         assert_eq!(cfg.with_shard_min(0).shard_min, 1, "zero clamps to one");

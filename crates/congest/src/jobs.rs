@@ -2,14 +2,14 @@
 //! scheduler, and a content-addressed result cache.
 //!
 //! Historically a "run" was whatever the environment happened to say:
-//! `KDOM_THREADS`, `KDOM_FASTFWD`, `KDOM_WIRE`, … were read at scattered
-//! call sites, so two runs were comparable only if the shell that
-//! launched them was identical. [`RunSpec`] makes the run an explicit
-//! *value* — algorithm, `k`, seed, schedule knobs, worker threads, wire
-//! mode, fault plan, trace toggle — with [`RunSpec::from_env`] as the
-//! one adapter that still speaks the old knob dialect. Everything
-//! downstream (the engine config, the executor, the cache key) is
-//! derived from the spec, never from the environment.
+//! `KDOM_THREADS`, `KDOM_FASTFWD`, … were read at scattered call sites,
+//! so two runs were comparable only if the shell that launched them was
+//! identical. [`RunSpec`] makes the run an explicit *value* — algorithm,
+//! `k`, seed, schedule knobs, worker threads, fault plan, trace toggle —
+//! with [`RunSpec::from_env`] as the one adapter that still speaks the
+//! old knob dialect. Everything downstream (the engine config, the
+//! executor, the cache key) is derived from the spec, never from the
+//! environment.
 //!
 //! On top of the spec sit two service pieces:
 //!
@@ -164,8 +164,6 @@ pub struct RunSpec {
     /// Minimum active nodes per worker shard (see
     /// [`EngineConfig::shard_min`]).
     pub shard_min: usize,
-    /// Wire-exact execution (see [`EngineConfig::wire_exact`]).
-    pub wire_exact: bool,
     /// The execution backend.
     pub exec: ExecSpec,
     /// The fault adversary (fault-free by default).
@@ -187,7 +185,6 @@ impl Default for RunSpec {
             fast_forward: engine.fast_forward,
             dense_pct: engine.dense_pct,
             shard_min: engine.shard_min,
-            wire_exact: engine.wire_exact,
             exec: ExecSpec::Sync,
             faults: FaultPlan::new(0),
             trace: false,
@@ -220,12 +217,6 @@ impl RunSpec {
         self
     }
 
-    /// Returns the spec with wire-exact execution enabled or not.
-    pub fn with_wire_exact(mut self, on: bool) -> Self {
-        self.wire_exact = on;
-        self
-    }
-
     /// Returns the spec with the execution backend replaced.
     pub fn with_exec(mut self, exec: ExecSpec) -> Self {
         self.exec = exec;
@@ -254,7 +245,6 @@ impl RunSpec {
             dense_pct: self.dense_pct,
             shard_min: self.shard_min,
             bit_budget: None,
-            wire_exact: self.wire_exact,
             codec_profile: false,
         }
     }
@@ -328,7 +318,6 @@ impl RunSpec {
             fast_forward: engine.fast_forward,
             dense_pct: engine.dense_pct,
             shard_min: engine.shard_min,
-            wire_exact: engine.wire_exact,
             exec,
             faults: FaultPlan::new(seed),
             trace: raw(trace::TRACE_ENV).is_some(),
@@ -338,14 +327,14 @@ impl RunSpec {
     /// The spec's canonical FNV-1a hash — the spec half of the cache
     /// key. Every field is folded in (a tagged, length-prefixed word
     /// stream, so permuted collections cannot collide structurally):
-    /// specs differing in *any* field — seed, `k`, wire mode, thread
-    /// count, fault plan, trace toggle — hash differently by
-    /// construction. Threads and the schedule knobs are included even
-    /// though the engine's outputs are byte-identical across them: the
-    /// service caches *runs*, and a run's identity is its full spec.
+    /// specs differing in *any* field — seed, `k`, thread count, fault
+    /// plan, trace toggle — hash differently by construction. Threads and
+    /// the schedule knobs are included even though the engine's outputs
+    /// are byte-identical across them: the service caches *runs*, and a
+    /// run's identity is its full spec.
     pub fn canonical_hash(&self) -> u64 {
         let mut h = Fnv::new();
-        h.word(2); // spec schema version
+        h.word(3); // spec schema version
         h.word(self.algo.tag());
         h.word(self.k);
         h.word(self.seed);
@@ -353,7 +342,6 @@ impl RunSpec {
         h.word(u64::from(self.fast_forward));
         h.word(self.dense_pct as u64);
         h.word(self.shard_min as u64);
-        h.word(u64::from(self.wire_exact));
         match self.exec {
             ExecSpec::Sync => h.word(0),
             ExecSpec::ReliableAlpha { max_delay } => {
@@ -1071,7 +1059,6 @@ mod tests {
         let variants = [
             base.clone().with_seed(1),
             base.clone().with_k(1),
-            base.clone().with_wire_exact(!base.wire_exact),
             base.clone().with_threads(2),
             base.clone().with_algo(Algo::Bfs),
             base.clone()

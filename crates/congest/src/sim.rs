@@ -16,11 +16,10 @@ use crate::round::{Observer, RoundCore};
 /// unencoded message type fails to compile instead of silently
 /// mis-charging the CONGEST accounting. `size_bits` is *derived* from
 /// the encoded length (a zero-allocation counting pass over
-/// [`Wire::encode`](crate::wire::Wire::encode)), and wire-exact
-/// execution (the default; `KDOM_WIRE=off` disables) routes every send
-/// through the real frame. The `Send` bound lets the engine's parallel compute phase move
-/// messages across worker shards; protocol messages are plain data, so
-/// it is automatic.
+/// [`Wire::encode`](crate::wire::Wire::encode)), and every executor
+/// routes every send through the real frame. The `Send` bound lets the
+/// engine's parallel compute phase move messages across worker shards;
+/// protocol messages are plain data, so it is automatic.
 pub trait Message: Clone + fmt::Debug + Send + crate::wire::Wire {
     /// Exact size of this message's wire encoding in bits, for the
     /// [`RunReport`] accounting. Provided — do not override; the single
@@ -350,10 +349,9 @@ pub enum SimError {
         /// The checker's explanation.
         detail: String,
     },
-    /// Wire-exact execution (the default; `KDOM_WIRE=off` disables)
-    /// found a message whose frame failed to decode, or whose decoded
-    /// form disagrees with what was sent — the codec and the message
-    /// type are out of sync.
+    /// A message's frame failed to decode, or its decoded form disagrees
+    /// with what was sent — the codec and the message type are out of
+    /// sync.
     WireMismatch {
         /// The sending node.
         node: NodeId,
@@ -609,7 +607,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// # Errors
     ///
     /// Returns [`SimError::CongestViolation`] on a double send and
-    /// [`SimError::WireMismatch`] when a wire-exact round trip fails.
+    /// [`SimError::WireMismatch`] when a message's round trip fails.
     pub fn step(&mut self) -> Result<(), SimError> {
         self.core.step(&mut self.engine)
     }

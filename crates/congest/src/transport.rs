@@ -16,11 +16,12 @@
 //!   message: payloads move through it as opaque `(words, bits)` frames.
 //! - Each **worker** ([`run_worker`]) owns a contiguous shard of the
 //!   automata and is the only place protocol code runs. Workers decode
-//!   their inbound frames and encode their outbound ones, so wire-exact
-//!   execution genuinely crosses the process boundary: what a node
-//!   observes is what was on the socket, with a canonical re-encode
-//!   check on every staged send (a mismatch aborts the run with
-//!   [`SimError::WireMismatch`], reported through a typed `Abort` frame).
+//!   their inbound frames and encode their outbound ones, so the wire
+//!   genuinely crosses the process boundary: what a node observes is
+//!   what was on the socket, with a canonical re-encode check on every
+//!   received frame and every staged send (a mismatch aborts the run
+//!   with [`SimError::WireMismatch`], reported through a typed `Abort`
+//!   frame).
 //!
 //! Because the coordinator feeds sends to the core's merge in the same
 //! ascending `(sender, port)` order as the engine — including the fault
@@ -55,7 +56,7 @@ use crate::report::RunReport;
 use crate::round::{fixed_memory, staged_bytes, NodeOutcome, RoundBackend, RoundCore};
 use crate::sim::{Port, Protocol, SimError};
 use crate::trace::TraceSink;
-use crate::wire::{decode_from, encode_to, BitReader, BitWriter, Wire, WireError};
+use crate::wire::{decode_from, encode_to, BitReader, BitWriter, CodecScratch, Wire, WireError};
 
 /// Protocol version carried in the handshake; bumped on any change to
 /// the control frame layout. A mismatch aborts with
@@ -1038,6 +1039,29 @@ fn send_shared(writer: &Mutex<Conn>, bufs: &mut FrameBufs, msg: &Ctl) -> io::Res
     w.flush()
 }
 
+/// Reports a non-canonical frame upstream as a typed `Abort` and returns
+/// the matching error; the tuple names the send `(sender, port, round)`.
+fn abort(
+    writer: &Mutex<Conn>,
+    bufs: &mut FrameBufs,
+    (node, port, round): (u32, u32, u64),
+    detail: String,
+) -> SimError {
+    let msg = Ctl::Abort {
+        node,
+        port,
+        round,
+        detail: detail.clone(),
+    };
+    let _ = send_shared(writer, bufs, &msg);
+    SimError::WireMismatch {
+        node: NodeId(node as usize),
+        port: Port(port as usize),
+        round,
+        detail,
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<P: Protocol>(
     graph: &Graph,
@@ -1054,7 +1078,7 @@ fn worker_loop<P: Protocol>(
     let mut inbox: Vec<(Port, P::Msg)> = Vec::new();
     let mut outbox: Vec<Option<P::Msg>> = Vec::new();
     let mut enc_scratch: Vec<u64> = Vec::new();
-    let mut renc_scratch: Vec<u64> = Vec::new();
+    let mut codec = CodecScratch::new();
     let mut last_round = 0u64;
     loop {
         let msg = match bufs.recv(conn) {
@@ -1076,37 +1100,10 @@ fn worker_loop<P: Protocol>(
                         // Decode exactly what was on the socket; the
                         // canonical re-encode proves the sender and this
                         // receiver agree on the message layout.
-                        let decoded = decode_from::<P::Msg>(&d.words, d.bits)
-                            .map_err(|e| format!("decode: {e}"))
-                            .and_then(|m| {
-                                let rb = encode_to(&m, &mut renc_scratch);
-                                if rb != d.bits || renc_scratch != d.words {
-                                    Err(format!(
-                                        "re-encode differs: {rb} bits vs {} on the wire",
-                                        d.bits
-                                    ))
-                                } else {
-                                    Ok(m)
-                                }
-                            });
-                        let msg = match decoded {
-                            Ok(m) => m,
-                            Err(detail) => {
-                                let abort = Ctl::Abort {
-                                    node: d.sender,
-                                    port: d.sender_port,
-                                    round: round.saturating_sub(1),
-                                    detail: detail.clone(),
-                                };
-                                let _ = send_shared(writer, &mut out_bufs, &abort);
-                                return Err(SimError::WireMismatch {
-                                    node: NodeId(d.sender as usize),
-                                    port: Port(d.sender_port as usize),
-                                    round: round.saturating_sub(1),
-                                    detail,
-                                });
-                            }
-                        };
+                        let send = (d.sender, d.sender_port, round.saturating_sub(1));
+                        let msg = codec
+                            .check_words::<P::Msg>(&d.words, d.bits)
+                            .map_err(|detail| abort(writer, &mut out_bufs, send, detail))?;
                         for _ in 1..d.copies {
                             inbox.push((Port(d.port as usize), msg.clone()));
                         }
@@ -1125,33 +1122,12 @@ fn worker_loop<P: Protocol>(
                     for (p, slot) in outbox.iter_mut().enumerate() {
                         let Some(msg) = slot.take() else { continue };
                         let bits = encode_to(&msg, &mut enc_scratch);
-                        // the staging-side round trip of the engine's
-                        // wire-exact mode, across the process boundary
-                        let check = decode_from::<P::Msg>(&enc_scratch, bits)
-                            .map_err(|e| format!("decode: {e}"))
-                            .and_then(|m| {
-                                let rb = encode_to(&m, &mut renc_scratch);
-                                if rb != bits || renc_scratch != enc_scratch {
-                                    Err(format!("re-encode differs: {rb} bits vs {bits}"))
-                                } else {
-                                    Ok(())
-                                }
-                            });
-                        if let Err(detail) = check {
-                            let abort = Ctl::Abort {
-                                node: entry.node,
-                                port: p as u32,
-                                round,
-                                detail: detail.clone(),
-                            };
-                            let _ = send_shared(writer, &mut out_bufs, &abort);
-                            return Err(SimError::WireMismatch {
-                                node: NodeId(v),
-                                port: Port(p),
-                                round,
-                                detail,
-                            });
-                        }
+                        // the engine's staging round trip, across the
+                        // process boundary
+                        let send = (entry.node, p as u32, round);
+                        codec
+                            .check_words::<P::Msg>(&enc_scratch, bits)
+                            .map_err(|detail| abort(writer, &mut out_bufs, send, detail))?;
                         sends.push(SendFrame {
                             port: p as u32,
                             bits,
@@ -1196,9 +1172,9 @@ pub struct CoordOpts {
     pub shards: usize,
     /// Engine configuration. `fast_forward`, `dense_pct`, and
     /// `bit_budget` apply exactly as in-process; `threads`, `shard_min`,
-    /// `wire_exact`, and `codec_profile` are meaningless here
-    /// (parallelism is the process fleet, and workers always check every
-    /// frame) and are ignored.
+    /// and `codec_profile` are meaningless here (parallelism is the
+    /// process fleet, and the codec runs in the workers) and are
+    /// ignored.
     pub config: EngineConfig,
     /// Transient-fault plan (drops, duplication, link down-intervals).
     /// Crash-stop schedules are rejected: kill a worker process to

@@ -5,15 +5,12 @@
 //! module replaces hand-maintained size constants with a real encoding:
 //! every [`Message`](crate::Message) implements [`Wire`], and
 //! `size_bits` is *derived* from the encoded length (a zero-allocation
-//! counting pass over [`Wire::encode`]). Wire-exact execution — the
-//! default
-//! ([`EngineConfig::with_wire_exact`](crate::EngineConfig::with_wire_exact),
-//! `KDOM_WIRE=off` to disable) — goes further: it routes every message
-//! through [`Wire::to_frame`] at send and [`Wire::from_frame`] at
-//! delivery, proving the automata depend only on what is actually on
-//! the wire. The bit I/O is branchless and word-at-a-time, and the
-//! executors reuse [`CodecScratch`] buffers, so the round trip costs no
-//! allocation per message.
+//! counting pass over [`Wire::encode`]). Every executor goes further:
+//! it routes every message through its bit frame at send and delivers
+//! the decoded frame, proving the automata depend only on what is
+//! actually on the wire. The bit I/O is branchless and word-at-a-time,
+//! and the executors reuse [`CodecScratch`] buffers, so the round trip
+//! costs no allocation per message.
 //!
 //! # Conventions
 //!
@@ -136,7 +133,7 @@ impl std::error::Error for WireError {}
 /// offset, the part that does not fit is computed branchlessly with a
 /// shift pair (no shift-by-64, no per-bit loop), and the staging word
 /// is flushed to the backing vector only when a field crosses the
-/// 64-bit boundary. This is the wire-exact hot path: the engine
+/// 64-bit boundary. This is the per-send hot path: the engine
 /// round-trips every message through this writer per send.
 #[derive(Debug)]
 pub struct BitWriter {
@@ -555,8 +552,8 @@ pub trait Wire: Sized {
 /// trip three ways: the decode must consume the frame exactly, the
 /// decoded value must re-encode to the identical frame, and its `Debug`
 /// rendering must match the original's (catching lossy encodings that
-/// happen to re-encode stably). Returns the decoded value — wire-exact
-/// execution delivers *it*, not the original, so the automata provably
+/// happen to re-encode stably). Returns the decoded value — the
+/// executors deliver *it*, not the original, so the automata provably
 /// depend only on the bits.
 ///
 /// # Errors
@@ -582,7 +579,8 @@ pub fn round_trip<T: Wire + fmt::Debug>(value: &T) -> Result<T, String> {
     Ok(decoded)
 }
 
-/// Reusable encode/decode buffers for the wire-exact hot path.
+/// Reusable encode/decode buffers for the executors' per-message codec
+/// path.
 ///
 /// [`round_trip`] allocates two frames and renders two `Debug` strings
 /// per message — fine for tests, ruinous at millions of messages per
@@ -595,7 +593,7 @@ pub fn round_trip<T: Wire + fmt::Debug>(value: &T) -> Result<T, String> {
 /// α executor's delivery check has always worked at this level).
 ///
 /// One scratch lives in each engine worker and in the sequential merge
-/// path, so wire-exact execution stops allocating per frame. The
+/// path, so the engine allocates nothing per frame. The
 /// engine's bucketed per-send path goes one step further and uses
 /// [`CodecScratch::transcode`] — encode + decode only, with the
 /// canonicality re-encode deferred to debug builds — because delivering
@@ -618,7 +616,7 @@ impl CodecScratch {
     /// in reused buffers: the decode must consume the frame exactly and
     /// the decoded value must re-encode to the identical bits (plus a
     /// `Debug` comparison in debug builds — see the type docs). Returns
-    /// the decoded value, which is what wire-exact execution delivers.
+    /// the decoded value, which is what the executors deliver.
     ///
     /// # Errors
     ///
@@ -677,8 +675,8 @@ impl CodecScratch {
     /// bits. The re-encode comparison that additionally proves the
     /// codec canonical (a codec-bug detector, not something a real link
     /// could exhibit) runs in debug builds only; release keeps it in
-    /// [`CodecScratch::round_trip`] (tests, fallback replay) and the α
-    /// executor's [`CodecScratch::check_frame`] delivery check.
+    /// [`CodecScratch::round_trip`] (tests, fallback replay) and the
+    /// delivery checks of [`CodecScratch::check_words`].
     ///
     /// # Errors
     ///
@@ -724,29 +722,42 @@ impl CodecScratch {
         Ok((decoded, bits))
     }
 
-    /// Decodes a received [`WireFrame`] and verifies the decoded value
-    /// re-encodes to the very bits received, re-encoding into a reused
-    /// buffer. This is the α executor's delivery-side check, minus its
-    /// former per-delivery allocation.
+    /// Decodes a frame received as raw words — from a link or a socket
+    /// peer — and verifies it is canonical, re-encoding into a reused
+    /// buffer: the word count must match the bit length, the decode must
+    /// consume every bit, and the decoded value must re-encode to the
+    /// very bits received. The socket worker checks its inbound and its
+    /// outbound frames with it.
     ///
     /// # Errors
     ///
     /// A human-readable description of the decode failure or bit
     /// mismatch.
-    pub fn check_frame<T: Wire + fmt::Debug>(&mut self, frame: &WireFrame) -> Result<T, String> {
-        let decoded = T::from_frame(frame).map_err(|e| format!("decode failed: {e}"))?;
-        let mut w = BitWriter::reuse(std::mem::take(&mut self.renc));
-        decoded.encode(&mut w);
-        let (renc, rbits) = w.into_raw();
-        let identical = rbits == frame.bits && renc == frame.words;
-        self.renc = renc;
-        if identical {
+    pub fn check_words<T: Wire + fmt::Debug>(
+        &mut self,
+        words: &[u64],
+        bits: u64,
+    ) -> Result<T, String> {
+        let decoded = decode_from::<T>(words, bits).map_err(|e| format!("decode failed: {e}"))?;
+        let rbits = encode_to(&decoded, &mut self.renc);
+        if rbits == bits && self.renc == words {
             Ok(decoded)
         } else {
             Err(format!(
-                "re-encoding decoded frame {decoded:?} does not reproduce the received bits"
+                "re-encoding decoded frame {decoded:?} does not reproduce the received bits \
+                 ({rbits} vs {bits} bits)"
             ))
         }
+    }
+
+    /// [`CodecScratch::check_words`] on a received [`WireFrame`]: the α
+    /// executor's delivery check.
+    ///
+    /// # Errors
+    ///
+    /// As [`CodecScratch::check_words`].
+    pub fn check_frame<T: Wire + fmt::Debug>(&mut self, frame: &WireFrame) -> Result<T, String> {
+        self.check_words(&frame.words, frame.bits)
     }
 }
 
@@ -1060,6 +1071,15 @@ mod tests {
         w.push(3, 2);
         let err = scratch.check_frame::<W>(&w.finish()).unwrap_err();
         assert!(err.contains("decode failed"), "{err}");
+        // raw words: the count must match the bit length, and bits past
+        // the length must be zero, or the re-encode cannot reproduce them
+        assert_eq!(scratch.check_words::<W>(&[12_345], 48).unwrap(), W(12_345));
+        let err = scratch.check_words::<W>(&[12_345, 0], 48).unwrap_err();
+        assert!(err.contains("word count"), "{err}");
+        let err = scratch
+            .check_words::<W>(&[12_345 | 1 << 60], 48)
+            .unwrap_err();
+        assert!(err.contains("does not reproduce"), "{err}");
     }
 
     #[cfg(debug_assertions)]

@@ -39,8 +39,8 @@ use std::time::Duration;
 
 use kdom_congest::transport::{frame_to_bytes, read_frame, Conn, CoordListener, Endpoint};
 use kdom_congest::{
-    Algo, CacheStats, ExecSpec, FaultPlan, JobHandle, JobPool, JobStatus, PoolStats, RunReport,
-    RunSpec, SweepSpec,
+    Algo, CacheStats, EngineConfig, ExecSpec, FaultPlan, JobHandle, JobPool, JobStatus, PoolStats,
+    RunReport, RunSpec, SweepSpec,
 };
 use kdom_graph::generators::Family;
 use kdom_graph::graph::EdgeRef;
@@ -123,8 +123,8 @@ pub fn spec_to_tokens(spec: &RunSpec) -> Result<String, String> {
         ExecSpec::ReliableAlpha { max_delay } => format!("alpha:{max_delay}"),
     };
     Ok(format!(
-        "algo={} k={} seed={} threads={} ff={} dense={} shard={} wire={} exec={} \
-         trace={} fseed={} fdrop={:016x} fdup={:016x} fdelay={}",
+        "algo={} k={} seed={} threads={} ff={} dense={} shard={} exec={} trace={} \
+         fseed={} fdrop={:016x} fdup={:016x} fdelay={}",
         spec.algo.label(),
         spec.k,
         spec.seed,
@@ -132,7 +132,6 @@ pub fn spec_to_tokens(spec: &RunSpec) -> Result<String, String> {
         u8::from(spec.fast_forward),
         spec.dense_pct,
         spec.shard_min,
-        u8::from(spec.wire_exact),
         exec,
         u8::from(spec.trace),
         f.seed,
@@ -150,6 +149,18 @@ where
         .map_err(|e| format!("{key}={v:?} did not parse: {e}"))
 }
 
+/// Parses an engine setting and holds it to the bound `check` — the
+/// same check the matching `KDOM_*` knob goes through.
+fn parse_bounded(
+    key: &str,
+    v: &str,
+    check: fn(&usize) -> Result<(), String>,
+) -> Result<usize, String> {
+    let n = parse_num(key, v)?;
+    check(&n).map_err(|e| format!("{key}={v:?} is out of range: {e}"))?;
+    Ok(n)
+}
+
 fn parse_bool(key: &str, v: &str) -> Result<bool, String> {
     match v {
         "0" => Ok(false),
@@ -161,11 +172,14 @@ fn parse_bool(key: &str, v: &str) -> Result<bool, String> {
 /// Parses the tokens produced by [`spec_to_tokens`] back into a
 /// [`RunSpec`]. Unknown keys are an error — a misspelled field must not
 /// silently fall back to a default and then get *cached* under the
-/// wrong content address.
+/// wrong content address. Values are held to the bounds the env knobs
+/// and the executors enforce, so a client cannot request what the
+/// library would refuse.
 ///
 /// # Errors
 ///
-/// On any unknown key or malformed value, naming both.
+/// On any unknown key, malformed value or out-of-range value, naming
+/// the token.
 pub fn spec_from_tokens<'a>(tokens: impl Iterator<Item = &'a str>) -> Result<RunSpec, String> {
     let mut spec = RunSpec::default();
     let mut fseed = 0u64;
@@ -180,16 +194,16 @@ pub fn spec_from_tokens<'a>(tokens: impl Iterator<Item = &'a str>) -> Result<Run
             "algo" => spec.algo = v.parse()?,
             "k" => spec.k = parse_num(key, v)?,
             "seed" => spec.seed = parse_num(key, v)?,
-            "threads" => spec.threads = parse_num::<usize>(key, v)?.max(1),
+            "threads" => spec.threads = parse_bounded(key, v, EngineConfig::check_threads)?,
             "ff" => spec.fast_forward = parse_bool(key, v)?,
-            "dense" => spec.dense_pct = parse_num(key, v)?,
-            "shard" => spec.shard_min = parse_num(key, v)?,
-            "wire" => spec.wire_exact = parse_bool(key, v)?,
+            "dense" => spec.dense_pct = parse_bounded(key, v, EngineConfig::check_dense_pct)?,
+            "shard" => spec.shard_min = parse_bounded(key, v, EngineConfig::check_shard_min)?,
             "exec" => {
                 spec.exec = match v.split_once(':') {
                     None if v == "sync" => ExecSpec::Sync,
-                    Some(("alpha", d)) => ExecSpec::ReliableAlpha {
-                        max_delay: parse_num(key, d)?,
+                    Some(("alpha", d)) => match parse_num(key, d)? {
+                        0 => return Err(format!("exec={v:?}: the delay must be at least 1")),
+                        max_delay => ExecSpec::ReliableAlpha { max_delay },
                     },
                     _ => return Err(format!("exec={v:?} is not sync or alpha:DELAY")),
                 }
@@ -204,11 +218,12 @@ pub fn spec_from_tokens<'a>(tokens: impl Iterator<Item = &'a str>) -> Result<Run
             _ => return Err(format!("unknown spec token {key:?}")),
         }
     }
-    let mut plan = FaultPlan::new(fseed);
-    plan.drop_prob = f64::from_bits(fdrop);
-    plan.dup_prob = f64::from_bits(fdup);
-    plan.max_extra_delay = fdelay;
-    spec.faults = plan;
+    spec.faults = FaultPlan::new(fseed)
+        .try_drop_prob(f64::from_bits(fdrop))
+        .map_err(|e| format!("fdrop={fdrop:016x}: {e}"))?
+        .try_dup_prob(f64::from_bits(fdup))
+        .map_err(|e| format!("fdup={fdup:016x}: {e}"))?
+        .max_extra_delay(fdelay);
     Ok(spec)
 }
 
@@ -1004,7 +1019,6 @@ mod tests {
                 .with_k(7)
                 .with_seed(42)
                 .with_threads(3)
-                .with_wire_exact(true)
                 .with_exec(ExecSpec::ReliableAlpha { max_delay: 9 })
                 .with_faults(FaultPlan::new(5).drop_prob(0.125))
                 .with_trace(true)
@@ -1032,6 +1046,35 @@ mod tests {
         let err = spec_from_tokens(["algo=bfs", "kay=3"].into_iter())
             .expect_err("typos must not silently default");
         assert!(err.contains("kay"), "{err}");
+        // every message crosses as its bit frame: there is no codec mode
+        let err = spec_from_tokens(["wire=1"].into_iter()).expect_err("no wire token");
+        assert!(err.contains("unknown spec token \"wire\""), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_spec_tokens_are_rejected_naming_the_token() {
+        let one = format!("{:016x}", 1.0f64.to_bits());
+        let nan = format!("{:016x}", f64::NAN.to_bits());
+        let cases = [
+            ("threads=0".to_string(), "threads"),
+            ("threads=257".to_string(), "threads"),
+            ("dense=301".to_string(), "dense"),
+            ("shard=0".to_string(), "shard"),
+            ("exec=alpha:0".to_string(), "exec"),
+            (format!("fdrop={one}"), "fdrop"),
+            (format!("fdup={nan}"), "fdup"),
+        ];
+        for (token, key) in &cases {
+            let err = spec_from_tokens(["algo=bfs", token.as_str()].into_iter())
+                .expect_err("out-of-range token must be refused");
+            assert!(err.starts_with(key), "{token}: {err}");
+        }
+        let spec = spec_from_tokens(["threads=256", "dense=300", "shard=1"].into_iter())
+            .expect("the bounds themselves are accepted");
+        assert_eq!(
+            (spec.threads, spec.dense_pct, spec.shard_min),
+            (256, 300, 1)
+        );
     }
 
     #[test]
@@ -1104,6 +1147,20 @@ mod tests {
         assert_eq!(stats.pool.cache.hits, 1);
         assert_eq!(stats.graphs, 1);
 
+        client.shutdown().expect("shutdown");
+        server.join().expect("server thread").expect("clean exit");
+    }
+
+    #[test]
+    fn out_of_range_submit_is_an_err_and_the_connection_survives() {
+        let (ep, server) = test_server();
+        let mut client = Client::connect(&ep).expect("connect");
+        let info = client.graph_spec("path:6:0").expect("graph");
+        let err = client
+            .submit(info.fingerprint, &RunSpec::default().with_threads(257))
+            .expect_err("257 worker threads are refused");
+        assert!(err.to_string().starts_with("threads=\"257\""), "{err}");
+        client.ping().expect("connection survives an ERR");
         client.shutdown().expect("shutdown");
         server.join().expect("server thread").expect("clean exit");
     }

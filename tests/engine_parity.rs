@@ -1,6 +1,7 @@
 //! Engine parity: every protocol in the repo must produce **byte-identical**
 //! outputs and identical reports under every scheduler/thread configuration
-//! of the shared round engine, and under reliable-α execution with loss.
+//! of the shared round engine, as the in-memory reference loop, and under
+//! reliable-α execution with loss.
 //!
 //! The determinism contract (DESIGN.md §4): staged sends are merged in
 //! node-index order, and the fault injector's RNG is advanced only during
@@ -10,9 +11,10 @@
 //! BFS, election, DiamDOM, BalancedDOM coloring, SimpleMST, the Pipeline
 //! (via Fast-MST), FastDOM_T/G, and Fast-MST.
 
+use kdom::congest::engine::run_reference_loop;
 use kdom::congest::{
     run_protocol_alpha_reliable, EngineConfig, FaultPlan, Message, NodeCtx, Outbox, Port, Protocol,
-    Simulator, Wake,
+    RunReport, Simulator, Wake,
 };
 use kdom::core::dist::bfs::BfsNode;
 use kdom::core::dist::coloring::{BalancedConfig, BalancedNode};
@@ -28,8 +30,7 @@ use kdom::mst::fastmst::fast_mst;
 
 /// Every engine configuration the suite must agree across: every node
 /// stepped every round vs the active set, 1 vs 4 threads, fast-forward on
-/// vs off, a forced dense-scan leg, and wire-exact execution (messages
-/// round-tripped through their bit encoding at every hop).
+/// vs off, and a forced dense-scan leg.
 /// `with_shard_min(32)` lowers the parallel-split threshold (the default
 /// is 1024) so the `n ≥ 128` graphs here make the 4-thread legs genuinely
 /// shard; `with_dense_pct(0)` forces the adaptive dense fallback on every
@@ -54,27 +55,22 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
             "active-set/1t/dense",
             base.with_threads(1).with_dense_pct(0),
         ),
-        (
-            "active-set/1t/wire-exact",
-            base.with_threads(1).with_wire_exact(true),
-        ),
-        (
-            "active-set/4t/wire-exact",
-            base.with_threads(4).with_wire_exact(true),
-        ),
     ]
 }
 
 /// Runs `make_nodes(g)` under every config and asserts the Debug rendering
 /// of the full node vector, the `RunReport`, and the run result are all
 /// byte-identical to the first (every node every round, single-thread)
-/// leg.
+/// leg. Fault-free runs add one more leg: the in-memory reference loop,
+/// which hands over messages without the codec, must reach the same node
+/// states and the same report except `peak_memory_bytes`, which it does
+/// not track — so delivering the decoded frame changes nothing.
 fn assert_parity<P, F>(g: &Graph, make_nodes: F, plan: Option<&FaultPlan>, what: &str)
 where
     P: Protocol + std::fmt::Debug,
     F: Fn(&Graph) -> Vec<P>,
 {
-    let mut baseline: Option<(String, String, String)> = None;
+    let mut baseline: Option<(String, String, RunReport)> = None;
     for (name, cfg) in configs() {
         let mut sim = match plan {
             Some(p) => Simulator::with_faults_config(g, make_nodes(g), p, cfg),
@@ -82,7 +78,7 @@ where
         };
         let outcome = format!("{:?}", sim.run(50_000));
         let nodes = format!("{:?}", sim.nodes());
-        let report = format!("{:?}", sim.report());
+        let report = sim.report().clone();
         match &baseline {
             None => baseline = Some((outcome, nodes, report)),
             Some((o, n, r)) => {
@@ -91,6 +87,24 @@ where
                 assert_eq!(r, &report, "{what}: RunReport diverged under {name}");
             }
         }
+    }
+    if plan.is_none() {
+        let (_, want_nodes, want_report) = baseline.expect("at least one config");
+        let (nodes, report) = run_reference_loop(g, make_nodes(g), 50_000)
+            .unwrap_or_else(|e| panic!("{what}: reference loop failed: {e}"));
+        assert_eq!(
+            want_nodes,
+            format!("{nodes:?}"),
+            "{what}: node states diverged from the reference loop"
+        );
+        let want_report = RunReport {
+            peak_memory_bytes: 0,
+            ..want_report
+        };
+        assert_eq!(
+            want_report, report,
+            "{what}: RunReport diverged from the reference loop"
+        );
     }
 }
 
@@ -286,8 +300,7 @@ fn peak_messages_per_round_is_global_across_shards() {
             .collect::<Vec<_>>()
     };
 
-    let (_, ref_report) =
-        kdom::congest::engine::run_reference_loop(&g, make(&g), 1_000).expect("burst quiesces");
+    let (_, ref_report) = run_reference_loop(&g, make(&g), 1_000).expect("burst quiesces");
     assert_eq!(
         ref_report.peak_messages_per_round, want_peak,
         "reference loop disagrees with the analytic peak"
@@ -553,60 +566,22 @@ fn reliable_alpha_matches_sync() {
     assert_eq!(got, edges, "α MST fragments diverged from sync");
 }
 
-/// Wire-exact α execution — every frame encoded at send, decoded at
-/// delivery, ARQ framing included — must be byte-identical to the
-/// in-memory run: same `AlphaReport`, same node states, same fault
-/// stream. Covers raw α (fault-free) and reliable α under 20% loss with
-/// duplication; the sync executor's wire-exact leg lives in [`configs`].
-#[test]
-fn wire_exact_alpha_parity() {
-    use kdom::congest::AlphaSimulator;
-
-    let g = gnp_connected(&GenConfig::with_seed(90, 13), 0.08);
-    let make = || (0..90).map(|v| BfsNode::new(v == 0)).collect::<Vec<_>>();
-
-    // raw α, fault-free
-    let raw = |exact: bool| {
-        let mut sim = AlphaSimulator::new(&g, make(), 21, 3).wire_exact(exact);
-        let report = sim.run(100_000).expect("α BFS quiesces");
-        (format!("{:?}", sim.into_nodes()), format!("{report:?}"))
-    };
-    assert_eq!(raw(false), raw(true), "raw α diverged under wire-exact");
-
-    // reliable α under loss + duplication
-    let plan = FaultPlan::new(0xEC0DEC).drop_prob(0.2).dup_prob(0.1);
-    let lossy = |exact: bool| {
-        let cfg = kdom::congest::ReliableConfig::for_delays(3, plan.max_extra_delay);
-        let mut sim = AlphaSimulator::with_faults(&g, make(), 21, 3, &plan)
-            .reliable(cfg)
-            .wire_exact(exact);
-        let report = sim.run(500_000).expect("reliable α BFS quiesces");
-        (format!("{:?}", sim.into_nodes()), format!("{report:?}"))
-    };
-    let (dn, dr) = lossy(false);
-    let (wn, wr) = lossy(true);
-    assert_eq!(dr, wr, "reliable-α report diverged under wire-exact");
-    assert_eq!(dn, wn, "reliable-α node states diverged under wire-exact");
-}
-
 /// Composed runners (DiamDOM, FastDOM_T/G, Fast-MST with its Pipeline
 /// stage) read the engine configuration from the environment, so this is
 /// the one test that mutates `KDOM_THREADS`/`KDOM_DENSE_PCT`/
-/// `KDOM_FASTFWD`/`KDOM_WIRE` — everything else in the binary uses
+/// `KDOM_FASTFWD` — everything else in the binary uses
 /// explicit configs, and Rust runs tests in one process, so only one
 /// env-touching test may exist. `KDOM_DENSE_PCT=0 KDOM_FASTFWD=0` steps
 /// every node every round.
 #[test]
 fn composed_runners_parity_under_env() {
     let legs = [
-        ("1", "75", "1", "off"),
-        ("4", "75", "1", "off"),
-        ("1", "0", "0", "off"),
-        ("4", "0", "0", "off"),
-        ("1", "75", "0", "off"),
-        ("4", "75", "0", "off"),
-        ("1", "75", "1", "exact"),
-        ("4", "75", "1", "exact"),
+        ("1", "75", "1"),
+        ("4", "75", "1"),
+        ("1", "0", "0"),
+        ("4", "0", "0"),
+        ("1", "75", "0"),
+        ("4", "75", "0"),
     ];
     let mut baseline: Option<[String; 4]> = None;
 
@@ -614,11 +589,10 @@ fn composed_runners_parity_under_env() {
     let gt = Family::RandomTree.generate(150, 8);
     let gg = gnp_connected(&GenConfig::with_seed(140, 6), 0.06);
 
-    for (threads, dense, fastfwd, wire) in legs {
+    for (threads, dense, fastfwd) in legs {
         std::env::set_var("KDOM_THREADS", threads);
         std::env::set_var("KDOM_DENSE_PCT", dense);
         std::env::set_var("KDOM_FASTFWD", fastfwd);
-        std::env::set_var("KDOM_WIRE", wire);
         let diam = format!("{:?}", run_diamdom(&gd, NodeId(0), 3));
         let dom_t = format!(
             "{:?}",
@@ -640,8 +614,7 @@ fn composed_runners_parity_under_env() {
                     assert_eq!(
                         want[i], got[i],
                         "{name} diverged at KDOM_THREADS={threads} \
-                         KDOM_DENSE_PCT={dense} KDOM_FASTFWD={fastfwd} \
-                         KDOM_WIRE={wire}"
+                         KDOM_DENSE_PCT={dense} KDOM_FASTFWD={fastfwd}"
                     );
                 }
             }
@@ -650,5 +623,4 @@ fn composed_runners_parity_under_env() {
     std::env::remove_var("KDOM_THREADS");
     std::env::remove_var("KDOM_DENSE_PCT");
     std::env::remove_var("KDOM_FASTFWD");
-    std::env::remove_var("KDOM_WIRE");
 }

@@ -349,56 +349,42 @@ fn budget_exhaustion_names_stuck_nodes() {
     );
 }
 
-/// Reliable α with wire-exact execution toggled explicitly (the same
-/// switch `KDOM_WIRE` flips — on by default, `off` disables — pinned
-/// here without touching the process environment).
+/// Reliable α (every frame encoded at send, decoded at delivery) on a
+/// lossy network.
 fn run_reliable<P: Protocol>(
     g: &Graph,
     nodes: Vec<P>,
     seed: u64,
     max_delay: u64,
     plan: &FaultPlan,
-    exact: bool,
 ) -> (Vec<P>, AlphaReport) {
     let cfg = ReliableConfig::for_delays(max_delay, plan.max_extra_delay);
-    let mut sim = AlphaSimulator::with_faults(g, nodes, seed, max_delay, plan)
-        .reliable(cfg)
-        .wire_exact(exact);
+    let mut sim = AlphaSimulator::with_faults(g, nodes, seed, max_delay, plan).reliable(cfg);
     let report = sim.run(1_000_000).expect("reliable α quiesces");
     (sim.into_nodes(), report)
 }
 
-/// Wire-exact legs for the lossy scenarios: encoding every frame to its
-/// bit-exact wire form and delivering the *decoded* frame changes
-/// nothing — outputs and the full `AlphaReport` (drops, retransmissions,
-/// link bits) are byte-identical to the zero-copy path, proving the
-/// recovery layer depends only on what is actually on the wire.
+/// Under heavy loss the ARQ layer, fed only the decoded frames, still
+/// delivers the exact BFS depths.
 #[test]
-fn wire_exact_leg_matches_default_under_loss() {
+fn reliable_bfs_depths_are_exact_under_loss() {
     for seed in 80..83u64 {
         let g = Family::Gnp.generate(30, seed);
         let plan = heavy_loss(seed ^ 0xACE);
         let mk = || (0..g.node_count()).map(|v| BfsNode::new(v == 0)).collect();
-        let (plain_nodes, plain_report) = run_reliable::<BfsNode>(&g, mk(), seed, 3, &plan, false);
-        let (exact_nodes, exact_report) = run_reliable::<BfsNode>(&g, mk(), seed, 3, &plan, true);
-        assert_eq!(plain_report, exact_report, "seed {seed}: reports diverge");
-        assert!(plain_report.dropped_messages > 0, "seed {seed}: no loss");
+        let (nodes, report) = run_reliable::<BfsNode>(&g, mk(), seed, 3, &plan);
+        assert!(report.dropped_messages > 0, "seed {seed}: no loss");
         let want = bfs_distances(&g, NodeId(0));
         for v in g.nodes() {
-            assert_eq!(
-                exact_nodes[v.0].depth, plain_nodes[v.0].depth,
-                "seed {seed}"
-            );
-            assert_eq!(exact_nodes[v.0].depth, Some(want[v.0]), "seed {seed}");
+            assert_eq!(nodes[v.0].depth, Some(want[v.0]), "seed {seed}");
         }
     }
 }
 
-/// Wire-exact leg for the loss + crash-stop scenario: the degraded
-/// topology, the ARQ recovery, and the crash bookkeeping all survive
-/// the encode/decode round trip byte-identically.
+/// Loss plus a crash-stop: the degraded topology, the ARQ recovery and
+/// the crash bookkeeping still yield the survivors' exact BFS depths.
 #[test]
-fn wire_exact_leg_matches_default_under_loss_and_crash() {
+fn reliable_bfs_depths_are_exact_under_loss_and_crash() {
     for seed in 90..93u64 {
         let g = Family::Gnp.generate(24, seed);
         let root = NodeId(0);
@@ -408,21 +394,10 @@ fn wire_exact_leg_matches_default_under_loss_and_crash() {
             .dup_prob(0.05)
             .crash(dead, 0);
         let mk = || (0..g.node_count()).map(|v| BfsNode::new(v == 0)).collect();
-        let (plain_nodes, plain_report) = run_reliable::<BfsNode>(&g, mk(), seed, 2, &plan, false);
-        let (exact_nodes, exact_report) = run_reliable::<BfsNode>(&g, mk(), seed, 2, &plan, true);
-        assert_eq!(plain_report, exact_report, "seed {seed}: reports diverge");
+        let (nodes, _) = run_reliable::<BfsNode>(&g, mk(), seed, 2, &plan);
         for v in g.nodes() {
-            assert_eq!(
-                exact_nodes[v.0].depth, plain_nodes[v.0].depth,
-                "seed {seed} node {}",
-                v.0
-            );
             let reference = if v == dead { None } else { want[v.0] };
-            assert_eq!(
-                exact_nodes[v.0].depth, reference,
-                "seed {seed} node {}",
-                v.0
-            );
+            assert_eq!(nodes[v.0].depth, reference, "seed {seed} node {}", v.0);
         }
     }
 }

@@ -17,7 +17,6 @@ fn specs_differing_in_one_field_key_differently() {
     let variants = [
         ("seed", base.clone().with_seed(8)),
         ("k", base.clone().with_k(5)),
-        ("wire mode", base.clone().with_wire_exact(!base.wire_exact)),
         ("threads", base.clone().with_threads(base.threads + 1)),
         ("algorithm", base.clone().with_algo(Algo::Bfs)),
         ("trace", base.clone().with_trace(true)),

@@ -3,17 +3,22 @@
 //! engine — same [`RunReport`], same per-send JSONL trace, same
 //! harvested outputs — for both 2-worker and 4-worker fleets, and under
 //! transient faults (drops, duplicates, a link outage), which replay
-//! coordinator-side in the in-process order. Killing a worker mid-run
-//! must surface as a typed [`SimError::PeerLost`] within the heartbeat
-//! deadline, and a worker whose graph disagrees must be rejected in the
-//! handshake.
+//! coordinator-side in the in-process order. A frame that cannot be
+//! decoded must end both runs in the same [`SimError::WireMismatch`].
+//! Killing a worker mid-run must surface as a typed
+//! [`SimError::PeerLost`] within the heartbeat deadline, and a worker
+//! whose graph disagrees must be rejected in the handshake.
 
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use kdom::congest::transport::{coordinate, CoordListener, CoordOpts, Endpoint};
+use kdom::congest::transport::{
+    coordinate, run_worker, CoordListener, CoordOpts, Endpoint, WorkerOpts,
+};
+use kdom::congest::wire::{BitReader, BitWriter, Wire, WireError};
 use kdom::congest::{
-    trace, EngineConfig, FaultPlan, MemorySink, Port, RunReport, SimError, Simulator,
+    trace, EngineConfig, FaultPlan, MemorySink, Message, NodeCtx, Outbox, Port, Protocol,
+    RunReport, SimError, Simulator,
 };
 use kdom::core::dist::fragments::{schedule_end, FragmentNode};
 use kdom::graph::generators::Family;
@@ -290,4 +295,115 @@ fn graph_fingerprint_mismatch_is_rejected_in_the_handshake() {
         detail.contains("fingerprint"),
         "detail should name the fingerprint check: {detail}"
     );
+}
+
+/// The one value [`Val`]'s decoder refuses.
+const POISON: u64 = (1 << 48) - 1;
+
+/// A message that encodes every value but decodes [`POISON`] as a bad
+/// tag: the frame carrying it can never be delivered.
+#[derive(Clone, Debug)]
+struct Val(u64);
+
+impl Wire for Val {
+    fn encode(&self, w: &mut BitWriter) {
+        w.word(self.0);
+    }
+    fn decode(r: &mut BitReader<'_>) -> Result<Self, WireError> {
+        match r.word()? {
+            POISON => Err(WireError::BadTag {
+                context: "Val",
+                value: POISON,
+            }),
+            v => Ok(Val(v)),
+        }
+    }
+}
+
+impl Message for Val {}
+
+/// Every node broadcasts its id in round 0; in round 1 the poisoner
+/// sends [`POISON`] on its port 0.
+#[derive(Debug)]
+struct Poison {
+    poisoner: bool,
+    rounds: u64,
+}
+
+impl Protocol for Poison {
+    type Msg = Val;
+
+    fn round(&mut self, ctx: &NodeCtx<'_>, _inbox: &[(Port, Val)], out: &mut Outbox<Val>) {
+        match ctx.round {
+            0 => out.broadcast(Val(ctx.id)),
+            1 if self.poisoner => out.send(Port(0), Val(POISON)),
+            _ => {}
+        }
+        self.rounds = ctx.round + 1;
+    }
+
+    fn is_done(&self) -> bool {
+        self.rounds >= 2
+    }
+}
+
+/// A worker whose automaton sends an undecodable frame aborts the run
+/// with the `WireMismatch` the in-process engine reports for it: same
+/// node, port and round.
+#[test]
+fn undecodable_frame_is_the_same_wire_mismatch_on_a_fleet() {
+    let g = graph_of(SMALL_SPEC);
+    let poisoner = g.node_count() - 1; // in the second of two shards
+    let make = |v: usize, _id: u64| Poison {
+        poisoner: v == poisoner,
+        rounds: 0,
+    };
+    let nodes = (0..g.node_count()).map(|v| make(v, 0)).collect();
+    let mut sim = Simulator::with_config(&g, nodes, EngineConfig::default());
+    let want = sim.run(10_000).expect_err("the poisoned frame must abort");
+
+    let listener = CoordListener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
+    let ep = listener.local_endpoint().expect("local endpoint");
+    let opts = CoordOpts {
+        shards: 2,
+        config: EngineConfig::default(),
+        plan: None,
+        max_rounds: 10_000,
+        timeout: Duration::from_secs(10),
+    };
+    let got = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|shard| {
+                let opts = WorkerOpts {
+                    connect: ep.clone(),
+                    shard,
+                    shards: 2,
+                    die_at_round: None,
+                };
+                let g = &g;
+                scope.spawn(move || run_worker(g, make, |n: &Poison| n.rounds, &opts))
+            })
+            .collect();
+        let got = coordinate(listener, &g, &opts, None);
+        for w in workers {
+            // the poisoner's worker aborts, its peer loses the
+            // coordinator; neither may panic
+            let _ = w.join().expect("worker thread");
+        }
+        got
+    });
+
+    let site = |e: &SimError| match e {
+        SimError::WireMismatch {
+            node, port, round, ..
+        } => Some((*node, *port, *round)),
+        _ => None,
+    };
+    let got = got.expect_err("the poisoned frame must abort the fleet");
+    assert_eq!(
+        site(&want),
+        Some((NodeId(poisoner), Port(0), 1)),
+        "in process: {want}"
+    );
+    assert_eq!(site(&got), site(&want), "on the fleet: {got}");
 }
