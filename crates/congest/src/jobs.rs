@@ -25,7 +25,8 @@
 //!   canonical fingerprint ([`Graph::fingerprint`], the same value the
 //!   socket handshake compares) paired with the spec's canonical hash.
 //!   A repeated submission is served from the cache without touching
-//!   the engine; an LRU sweep keeps the cache inside a byte budget.
+//!   the engine; cost-aware (GreedyDual-Size-Frequency) eviction keeps
+//!   the cache inside a byte budget.
 //!
 //! The pool is deliberately algorithm-agnostic: it executes an opaque
 //! [`Runner`] closure, so this crate stays below the algorithm crates
@@ -482,7 +483,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries stored (including replacements).
     pub insertions: u64,
-    /// Entries removed by the LRU byte-budget sweep.
+    /// Entries removed to keep the cache inside its byte budget.
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -493,10 +494,34 @@ pub struct CacheStats {
 struct CacheEntry {
     output: Arc<JobOutput>,
     bytes: usize,
+    /// Hits plus the first insertion; a re-insertion keeps the count.
+    uses: u64,
+    /// `clock + uses × cost / bytes` as of the last use.
+    priority: f64,
     last_used: u64,
 }
 
-/// An in-memory LRU result cache under a byte budget.
+impl CacheEntry {
+    /// Re-prices the entry at `clock` and marks it used at `tick`.
+    fn touch(&mut self, clock: f64, tick: u64) {
+        let cost = self.output.report.messages.max(1);
+        self.priority = clock + self.uses as f64 * cost as f64 / self.bytes as f64;
+        self.last_used = tick;
+    }
+}
+
+/// An in-memory result cache under a byte budget, evicting by
+/// GreedyDual-Size-Frequency.
+///
+/// An entry's priority is `clock + uses × cost / bytes`, set when it is
+/// stored or hit. `cost` is the engine messages its run took
+/// (`report.messages`, at least 1): deterministic, and a proxy for the
+/// runner time a recompute would spend. The entry of least priority is
+/// evicted first, and `clock` rises to its priority, so entries that go
+/// unused age out however expensive they were. Ties go to the least
+/// recently used entry, so equal-cost entries leave in LRU order and
+/// the victim never depends on map iteration order. Use counts live
+/// only in resident entries.
 ///
 /// Entries are shared (`Arc`), so a hit is a pointer clone — the
 /// returned output is *byte-identical* to the one the original run
@@ -507,6 +532,7 @@ pub struct ResultCache {
     budget: usize,
     bytes: usize,
     tick: u64,
+    clock: f64,
     map: HashMap<CacheKey, CacheEntry>,
     hits: u64,
     misses: u64,
@@ -521,6 +547,7 @@ impl ResultCache {
             budget,
             bytes: 0,
             tick: 0,
+            clock: 0.0,
             map: HashMap::new(),
             hits: 0,
             misses: 0,
@@ -529,12 +556,14 @@ impl ResultCache {
         }
     }
 
-    /// Looks up `key`, refreshing its recency on a hit.
+    /// Looks up `key`, counting a use and refreshing its priority on a
+    /// hit.
     pub fn get(&mut self, key: &CacheKey) -> Option<Arc<JobOutput>> {
         self.tick += 1;
         match self.map.get_mut(key) {
             Some(e) => {
-                e.last_used = self.tick;
+                e.uses += 1;
+                e.touch(self.clock, self.tick);
                 self.hits += 1;
                 Some(Arc::clone(&e.output))
             }
@@ -545,36 +574,48 @@ impl ResultCache {
         }
     }
 
-    /// Stores `output` under `key` (replacing any previous entry), then
-    /// evicts least-recently-used entries until the budget holds.
+    /// Stores `output` under `key` (replacing any previous entry and
+    /// keeping its use count), then evicts least-priority entries until
+    /// the budget holds. The new entry competes too: a cheap result can
+    /// leave at once rather than push out a costlier one.
     pub fn insert(&mut self, key: CacheKey, output: Arc<JobOutput>) {
         let bytes = output.cost_bytes();
         if bytes > self.budget {
             return;
         }
         self.tick += 1;
-        if let Some(old) = self.map.remove(&key) {
-            self.bytes -= old.bytes;
-        }
+        let uses = match self.map.remove(&key) {
+            Some(old) => {
+                self.bytes -= old.bytes;
+                old.uses
+            }
+            None => 1,
+        };
         self.bytes += bytes;
         self.insertions += 1;
-        self.map.insert(
-            key,
-            CacheEntry {
-                output,
-                bytes,
-                last_used: self.tick,
-            },
-        );
+        let mut entry = CacheEntry {
+            output,
+            bytes,
+            uses,
+            priority: 0.0,
+            last_used: 0,
+        };
+        entry.touch(self.clock, self.tick);
+        self.map.insert(key, entry);
         while self.bytes > self.budget {
             let victim = self
                 .map
                 .iter()
-                .min_by_key(|(_, e)| e.last_used)
+                .min_by(|(_, a), (_, b)| {
+                    a.priority
+                        .total_cmp(&b.priority)
+                        .then(a.last_used.cmp(&b.last_used))
+                })
                 .map(|(k, _)| *k)
                 .expect("bytes > 0 implies an entry");
             let e = self.map.remove(&victim).expect("just found");
             self.bytes -= e.bytes;
+            self.clock = e.priority;
             self.evictions += 1;
         }
     }
@@ -1161,6 +1202,70 @@ mod tests {
         let mut tiny = ResultCache::new(1);
         tiny.insert(key(9), Arc::clone(&sample));
         assert_eq!(tiny.stats().entries, 0);
+    }
+
+    /// An output of fixed size whose run took `messages` messages.
+    fn priced_output(messages: u64) -> Arc<JobOutput> {
+        Arc::new(JobOutput {
+            report: RunReport {
+                messages,
+                ..RunReport::default()
+            },
+            outputs: vec![0; 8],
+            ..JobOutput::default()
+        })
+    }
+
+    #[test]
+    fn an_expensive_unread_entry_outlives_cheap_newcomers() {
+        let one = priced_output(1).cost_bytes();
+        let mut cache = ResultCache::new(2 * one);
+        let key = |i: u64| CacheKey { graph: i, spec: 0 };
+        cache.insert(key(1), priced_output(1_000_000));
+        cache.insert(key(2), priced_output(10));
+        cache.insert(key(3), priced_output(10));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (2, 1));
+        assert!(cache.get(&key(2)).is_none(), "the older cheap entry leaves");
+        assert!(cache.get(&key(1)).is_some(), "LRU would have evicted 1");
+        assert!(cache.get(&key(3)).is_some());
+    }
+
+    #[test]
+    fn eviction_replays_identically_on_fresh_caches() {
+        // equal sizes, so an insert evicts at most one entry and the
+        // per-insert diff of resident keys is the eviction order
+        fn replay() -> Vec<CacheKey> {
+            let one = priced_output(1).cost_bytes();
+            let mut cache = ResultCache::new(4 * one);
+            let mut rng = kdom_rng::StdRng::seed_from_u64(5);
+            let mut evicted = Vec::new();
+            for _ in 0..600 {
+                let key = CacheKey {
+                    graph: rng.below(12),
+                    spec: 0,
+                };
+                if rng.random_bool(0.5) {
+                    cache.get(&key);
+                    continue;
+                }
+                // three cost levels: plenty of exact priority ties
+                let output = priced_output([1, 10, 100][rng.below(3) as usize]);
+                let before: Vec<CacheKey> = cache.map.keys().copied().collect();
+                cache.insert(key, output);
+                evicted.extend(
+                    before
+                        .into_iter()
+                        .chain([key])
+                        .filter(|k| !cache.map.contains_key(k)),
+                );
+            }
+            assert_eq!(cache.stats().evictions as usize, evicted.len());
+            evicted
+        }
+        let first = replay();
+        assert!(first.len() > 50, "the replay must evict often");
+        assert_eq!(first, replay(), "the victim order is deterministic");
     }
 
     #[test]

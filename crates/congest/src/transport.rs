@@ -209,14 +209,15 @@ impl std::fmt::Display for Endpoint {
 }
 
 impl Endpoint {
-    /// Opens a client connection to this endpoint.
+    /// Opens a client connection to this endpoint. A TCP stream comes
+    /// back with `TCP_NODELAY` set (see [`Conn`]).
     ///
     /// # Errors
     ///
     /// Any socket-level connect failure.
     pub fn connect(&self) -> io::Result<Conn> {
         match self {
-            Endpoint::Tcp(a) => TcpStream::connect(a.as_str()).map(Conn::Tcp),
+            Endpoint::Tcp(a) => TcpStream::connect(a.as_str()).and_then(Conn::tcp),
             #[cfg(unix)]
             Endpoint::Unix(p) => std::os::unix::net::UnixStream::connect(p).map(Conn::Unix),
         }
@@ -283,14 +284,15 @@ impl CoordListener {
     }
 
     /// Accepts one incoming connection. In non-blocking mode an empty
-    /// backlog is [`io::ErrorKind::WouldBlock`].
+    /// backlog is [`io::ErrorKind::WouldBlock`]. A TCP stream comes back
+    /// with `TCP_NODELAY` set (see [`Conn`]).
     ///
     /// # Errors
     ///
     /// Any socket-level accept failure.
     pub fn accept(&self) -> io::Result<Conn> {
         match self {
-            CoordListener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            CoordListener::Tcp(l) => l.accept().and_then(|(s, _)| Conn::tcp(s)),
             #[cfg(unix)]
             CoordListener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
         }
@@ -298,6 +300,12 @@ impl CoordListener {
 }
 
 /// One established stream between a worker and the coordinator.
+///
+/// Every TCP stream the transport hands out has `TCP_NODELAY` set. A
+/// reply written as more than one frame (a `kdom-serve` `WAIT` answer is
+/// a text frame and then a word frame) would otherwise hold its second
+/// write under Nagle's algorithm until the peer's delayed ACK, about
+/// 40 ms. Unix-domain sockets have no Nagle and need nothing.
 pub enum Conn {
     /// TCP stream.
     Tcp(TcpStream),
@@ -307,6 +315,11 @@ pub enum Conn {
 }
 
 impl Conn {
+    fn tcp(s: TcpStream) -> io::Result<Conn> {
+        s.set_nodelay(true)?;
+        Ok(Conn::Tcp(s))
+    }
+
     /// Clones the underlying socket handle (reads and writes on the
     /// clone share the same stream) — how the worker's heartbeat thread
     /// gets a writer while the main thread keeps the reader.
@@ -1816,6 +1829,24 @@ mod tests {
         {
             let ux: Endpoint = "unix:/tmp/kdom.sock".parse().expect("unix");
             assert_eq!(ux.to_string(), "unix:/tmp/kdom.sock");
+        }
+    }
+
+    #[test]
+    fn tcp_streams_are_nodelay_on_both_ends() {
+        let listener = CoordListener::bind(&"tcp:127.0.0.1:0".parse().expect("endpoint"))
+            .expect("bind an ephemeral port");
+        let ep = listener.local_endpoint().expect("bound endpoint");
+        let client = ep.connect().expect("connect");
+        let server = listener.accept().expect("accept");
+        for (end, conn) in [("connect", &client), ("accept", &server)] {
+            let Conn::Tcp(s) = conn else {
+                panic!("{end} returned a non-TCP stream")
+            };
+            assert!(
+                s.nodelay().expect("read TCP_NODELAY"),
+                "{end} left Nagle on"
+            );
         }
     }
 

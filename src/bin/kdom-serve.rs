@@ -198,11 +198,12 @@ fn print_stats(client: &mut Client) -> Result<(), String> {
     let stats = client.stats().map_err(|e| format!("stats: {e}"))?;
     println!(
         "server: {} submitted, {} engine runs, cache {} hits / {} misses, \
-         {} entries ({} bytes), {} graphs",
+         {} evictions, {} entries ({} bytes), {} graphs",
         stats.pool.submitted,
         stats.pool.engine_runs,
         stats.pool.cache.hits,
         stats.pool.cache.misses,
+        stats.pool.cache.evictions,
         stats.pool.cache.entries,
         stats.pool.cache.bytes,
         stats.graphs

@@ -440,7 +440,8 @@ fn handle_upload(
     // the payload frame must be consumed even if the header was odd, or
     // the stream would desynchronize — hence reading before validating
     read_frame(conn, words)?;
-    if words.len() != n + 3 * m {
+    // checked: a hostile header must not wrap the sum onto a short frame
+    if m.checked_mul(3).and_then(|e| e.checked_add(n)) != Some(words.len()) {
         return Ok(format!(
             "ERR graph frame has {} words, expected {n}+3*{m}",
             words.len()
@@ -1161,6 +1162,25 @@ mod tests {
             .expect_err("257 worker threads are refused");
         assert!(err.to_string().starts_with("threads=\"257\""), "{err}");
         client.ping().expect("connection survives an ERR");
+        client.shutdown().expect("shutdown");
+        server.join().expect("server thread").expect("clean exit");
+    }
+
+    #[test]
+    fn overflowing_upload_header_is_an_err_and_the_connection_survives() {
+        let (ep, server) = test_server();
+        let mut conn = ep.connect().expect("connect");
+        let mut words = Vec::new();
+        // u64::MAX + 3 * 1 wraps to 2, the length of the frame sent
+        send_text(&mut conn, &format!("UPLOAD {} 1", u64::MAX)).expect("header");
+        send_words(&mut conn, &[1, 2]).expect("payload");
+        let reply = recv_text(&mut conn, &mut words).expect("a reply, not EOF");
+        assert!(reply.starts_with("ERR "), "{reply}");
+        assert!(reply.contains(&format!("{}+3*1", u64::MAX)), "{reply}");
+        send_text(&mut conn, "PING").expect("ping");
+        let pong = recv_text(&mut conn, &mut words).expect("the connection survives");
+        assert_eq!(pong, "OK pong");
+        let mut client = Client::connect(&ep).expect("connect");
         client.shutdown().expect("shutdown");
         server.join().expect("server thread").expect("clean exit");
     }

@@ -1,11 +1,13 @@
 //! End-to-end smoke of the `kdom-serve` binary: start a server on an
 //! ephemeral port, submit a sweep over two algorithms × three seeds,
-//! resubmit it, and assert the second pass was served from the cache.
+//! resubmit it, and assert the second pass was served from the cache
+//! and that cache-hit `WAIT`s come back without a delayed-ACK stall.
 //! Per-job JSONL traces land in `target/serve-smoke/` so a failing CI
 //! run has artifacts to upload.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 use kdom::congest::transport::Endpoint;
 use kdom::congest::{Algo, RunSpec, SweepSpec};
@@ -99,6 +101,20 @@ fn sweep_twice_hits_the_cache_and_streams_traces() {
         assert_eq!(reply.outputs, want.outputs, "cached outputs identical");
     }
     assert_eq!(hits, 6, "the whole resubmitted sweep must hit the cache");
+
+    // a hit's WAIT reply is two frames; with Nagle on, the second one
+    // waits for the client's delayed ACK (about 40 ms a reply)
+    let started = Instant::now();
+    for _ in 0..4 {
+        for id in &second {
+            assert!(client.wait(*id).expect("cached job").from_cache);
+        }
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(240),
+        "24 cache-hit WAITs took {elapsed:?}: is TCP_NODELAY set?"
+    );
 
     let stats = client.stats().expect("stats");
     assert_eq!(stats.pool.submitted, 12);
