@@ -27,7 +27,13 @@ fn bench(c: &mut Criterion) {
                         })
                     })
                     .collect();
-                kdom_congest::run_protocol(std::hint::black_box(&graph), nodes, 10_000).unwrap()
+                kdom_congest::run_protocol(
+                    std::hint::black_box(&graph),
+                    nodes,
+                    10_000,
+                    kdom_congest::EngineConfig::default(),
+                )
+                .unwrap()
             })
         });
     }

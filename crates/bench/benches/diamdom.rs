@@ -3,6 +3,7 @@
 
 use kdom_bench::harness::Criterion;
 use kdom_bench::{criterion_group, criterion_main};
+use kdom_congest::EngineConfig;
 use kdom_core::dist::diamdom::run_diamdom;
 use kdom_graph::generators::Family;
 use kdom_graph::NodeId;
@@ -13,7 +14,14 @@ fn bench(c: &mut Criterion) {
         for k in [2usize, 8] {
             let graph = fam.generate(256, 23);
             g.bench_function(format!("{fam}/n256/k{k}"), |b| {
-                b.iter(|| run_diamdom(std::hint::black_box(&graph), NodeId(0), k))
+                b.iter(|| {
+                    run_diamdom(
+                        std::hint::black_box(&graph),
+                        NodeId(0),
+                        k,
+                        EngineConfig::default(),
+                    )
+                })
             });
         }
     }

@@ -18,8 +18,8 @@ use kdom_congest::{CodecScratch, EngineConfig, Simulator};
 use kdom_core::dist::bfs::BfsNode;
 use kdom_core::dist::fragments::{FrMsg, FragmentNode};
 use kdom_graph::generators::Family;
-use kdom_graph::Graph;
-use kdom_mst::fastmst::fast_mst;
+use kdom_graph::{Graph, NodeId};
+use kdom_mst::fastmst::{default_k, fast_mst, fast_mst_from_root};
 
 fn mst_nodes(g: &Graph, k: usize) -> Vec<FragmentNode> {
     g.nodes()
@@ -185,19 +185,20 @@ fn profile_round_walltime(_c: &mut Criterion) {
     note_extra(name, "codec_msgs", codec_msgs);
 }
 
-/// The full Fast-MST composition on a ~1600-node grid; the composed
-/// runners read `KDOM_THREADS` from the environment, so the legs are
-/// driven through env vars (the bench harness is one thread, so the
-/// mutation is race-free).
+/// The full Fast-MST composition on a ~1600-node grid, one leg per
+/// engine thread count.
 fn bench_fast_mst(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine/fast_mst_grid1600");
     let graph = Family::Grid.generate(1600, 11);
+    let k = default_k(graph.node_count());
+    let run = |threads| {
+        let config = EngineConfig::default().with_threads(threads);
+        fast_mst_from_root(std::hint::black_box(&graph), k, NodeId(0), config)
+    };
 
-    std::env::remove_var("KDOM_THREADS");
     let want = fast_mst(&graph);
-    for (leg, threads) in [("active-set-1t", "1"), ("active-set-4t", "4")] {
-        std::env::set_var("KDOM_THREADS", threads);
-        let got = fast_mst(&graph);
+    for (leg, threads) in [("active-set-1t", 1), ("active-set-4t", 4)] {
+        let got = run(threads);
         assert_eq!(
             format!("{want:?}"),
             format!("{got:?}"),
@@ -205,16 +206,15 @@ fn bench_fast_mst(c: &mut Criterion) {
         );
         // identity holds regardless of CPU count; only the timing of
         // multi-thread legs is skipped on undersubscribed machines
-        if threads != "1" && !can_bench_threads(4) {
+        if threads != 1 && !can_bench_threads(4) {
             continue;
         }
-        g.bench_function(leg, |b| b.iter(|| fast_mst(std::hint::black_box(&graph))));
+        g.bench_function(leg, |b| b.iter(|| run(threads)));
         note_rounds(
             &format!("engine/fast_mst_grid1600/{leg}"),
             want.total_rounds(),
         );
     }
-    std::env::remove_var("KDOM_THREADS");
     g.finish();
 }
 

@@ -3,6 +3,7 @@
 
 use kdom_bench::harness::Criterion;
 use kdom_bench::{criterion_group, criterion_main};
+use kdom_congest::EngineConfig;
 use kdom_graph::generators::Family;
 use kdom_graph::NodeId;
 use kdom_mst::pipeline::run_pipeline;
@@ -20,6 +21,7 @@ fn bench(c: &mut Criterion) {
                     &clusters,
                     true,
                     false,
+                    EngineConfig::default(),
                 )
             })
         });
@@ -31,6 +33,7 @@ fn bench(c: &mut Criterion) {
                     &clusters,
                     true,
                     true,
+                    EngineConfig::default(),
                 )
             })
         });

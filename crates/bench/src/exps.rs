@@ -5,10 +5,11 @@
 //! checked property held. `EXPERIMENTS.md` is the curated record of one
 //! full run.
 
-use kdom_congest::Port;
+use kdom_congest::{EngineConfig, Port};
 use kdom_core::cluster::Charge;
 use kdom_core::dist::coloring::{cv_schedule, BalancedConfig, BalancedNode};
 use kdom_core::dist::diamdom::run_diamdom;
+use kdom_core::dist::executor::Executor;
 use kdom_core::dist::fragments::{run_simple_mst, schedule_end};
 use kdom_core::fastdom::{fast_dom_g_full, fast_dom_t, WithinCluster};
 use kdom_core::logstar::log_star;
@@ -107,7 +108,7 @@ pub fn e2(quick: bool) -> Table {
             for k in [2usize, 6] {
                 let g = fam.generate(n, 23);
                 let n = g.node_count();
-                let run = run_diamdom(&g, NodeId(0), k);
+                let run = run_diamdom(&g, NodeId(0), k, EngineConfig::default());
                 let diam = u64::from(diameter(&g));
                 let bound = 5 * diam + 2 * k as u64 + 12;
                 let ok_time = t.check(run.total_rounds() <= bound).to_string();
@@ -172,7 +173,8 @@ pub fn e3(quick: bool) -> Table {
             })
             .collect();
         let (nodes, report) =
-            kdom_congest::run_protocol(&g, nodes, 10_000).expect("BalancedDOM quiesces");
+            kdom_congest::run_protocol(&g, nodes, 10_000, EngineConfig::default())
+                .expect("BalancedDOM quiesces");
         let mut size = std::collections::HashMap::new();
         for (v, node) in nodes.iter().enumerate() {
             let center = match node.center_port {
@@ -349,7 +351,7 @@ pub fn e7(quick: bool) -> Table {
     let g = Family::Grid.generate(n, 43);
     let n = g.node_count();
     for k in [1usize, 3, 7, 15, 31] {
-        let run = run_simple_mst(&g, k);
+        let run = run_simple_mst(&g, k, &Executor::default());
         let mut fsize = vec![0usize; run.roots.len()];
         for &f in &run.fragment_of {
             fsize[f] += 1;
@@ -436,7 +438,8 @@ pub fn e9(quick: bool) -> Table {
         let n = if quick { 100 } else { 400 };
         let g = fam.generate(n, 53);
         let clusters: Vec<u64> = g.nodes().map(|v| g.id_of(v)).collect();
-        let run = run_pipeline(&g, NodeId(0), &clusters, true, false);
+        let config = EngineConfig::default();
+        let run = run_pipeline(&g, NodeId(0), &clusters, true, false, config);
         let diam = u64::from(diameter(&g));
         let nn = g.node_count() as u64;
         let bound = nn + 2 * diam + 16;
@@ -546,8 +549,9 @@ pub fn e11(quick: bool) -> Table {
         };
         let g = fam.generate(n, 61);
         let clusters: Vec<u64> = g.nodes().map(|v| g.id_of(v)).collect();
-        let fastr = run_pipeline(&g, NodeId(0), &clusters, true, false);
-        let slow = run_pipeline(&g, NodeId(0), &clusters, true, true);
+        let config = EngineConfig::default();
+        let fastr = run_pipeline(&g, NodeId(0), &clusters, true, false, config);
+        let slow = run_pipeline(&g, NodeId(0), &clusters, true, true, config);
         t.check(slow.collect_rounds >= fastr.collect_rounds);
         t.row(vec![
             fam.to_string(),
@@ -582,7 +586,8 @@ pub fn e12(quick: bool) -> Table {
     let g = Family::Gnp.generate(n, 67);
     let n = g.node_count();
 
-    let dd = run_diamdom(&g, NodeId(0), 4);
+    let config = EngineConfig::default();
+    let dd = run_diamdom(&g, NodeId(0), 4, config);
     let add = |name: &str, rounds: u64, msgs: u64, bits: u64, t: &mut Table| {
         let ok = t.check(bits <= 160).to_string();
         t.row(vec![
@@ -603,7 +608,7 @@ pub fn e12(quick: bool) -> Table {
             .max(dd.dd_report.max_message_bits),
         &mut t,
     );
-    let fr = run_simple_mst(&g, 8);
+    let fr = run_simple_mst(&g, 8, &Executor::default());
     add(
         "SimpleMST(k=8)",
         fr.report.rounds,
@@ -612,7 +617,7 @@ pub fn e12(quick: bool) -> Table {
         &mut t,
     );
     let clusters: Vec<u64> = g.nodes().map(|v| g.id_of(v)).collect();
-    let pl = run_pipeline(&g, NodeId(0), &clusters, true, false);
+    let pl = run_pipeline(&g, NodeId(0), &clusters, true, false, config);
     add(
         "Pipeline (singletons)",
         pl.report.rounds,
@@ -822,7 +827,8 @@ pub fn e17(quick: bool) -> Table {
             for k in [3usize, 8] {
                 let g = fam.generate(n, 89);
                 let n = g.node_count();
-                let res = fast_dom_t_distributed(&g, k, WithinCluster::OptimalDp);
+                let res =
+                    fast_dom_t_distributed(&g, k, WithinCluster::OptimalDp, &Executor::default());
                 let ok = t
                     .check(check_fastdom_output(&g, &res.clustering, k).is_ok())
                     .to_string();
@@ -865,7 +871,7 @@ pub fn e18(quick: bool) -> Table {
     let n = if quick { 64 } else { 196 };
     let g = Family::Grid.generate(n, 97);
     let k = 7;
-    let sync = run_simple_mst(&g, k);
+    let sync = run_simple_mst(&g, k, &Executor::default());
     let mut want = sync.tree_edges.clone();
     want.sort_unstable();
     for delay in [1u64, 3, 8] {
@@ -1025,7 +1031,7 @@ pub fn e20(quick: bool) -> Table {
 /// gate's committed baseline, owned by the engine bench).
 pub fn e21(quick: bool) -> Table {
     use kdom_congest::engine::run_reference_loop;
-    use kdom_congest::{EngineConfig, Simulator};
+    use kdom_congest::Simulator;
     use kdom_core::dist::bfs::BfsNode;
     use kdom_core::dist::fragments::FragmentNode;
     use std::time::Instant;
@@ -1168,9 +1174,6 @@ pub fn e21(quick: bool) -> Table {
 /// crossed the dirty/clean boundary.
 pub fn e22(quick: bool) -> Table {
     use kdom_congest::faults::{apply_churn, ChurnEvent};
-    use kdom_congest::EngineConfig;
-    use kdom_core::dist::executor::Executor;
-    use kdom_core::dist::fragments::run_simple_mst_configured;
     use kdom_core::dist::refixup::refixup_fragments;
     use kdom_core::fragments::simple_mst_forest;
 
@@ -1189,8 +1192,7 @@ pub fn e22(quick: bool) -> Table {
             "oracle",
         ],
     );
-    let exec = Executor::Sync;
-    let config = EngineConfig::default();
+    let exec = Executor::default();
     let k = 3usize;
     for (fam, n) in [
         (Family::Grid, if quick { 64 } else { 400 }),
@@ -1198,7 +1200,7 @@ pub fn e22(quick: bool) -> Table {
         (Family::Gnp, if quick { 64 } else { 256 }),
     ] {
         let g = fam.generate(n, 131);
-        let old = run_simple_mst_configured(&g, k, &exec, config);
+        let old = run_simple_mst(&g, k, &exec);
         let max_id = g.nodes().map(|v| g.id_of(v)).max().unwrap_or(0);
         let max_w = g.edges().iter().map(|e| e.weight).max().unwrap_or(0);
         // one representative event per type, all valid on `g`
@@ -1270,8 +1272,8 @@ pub fn e22(quick: bool) -> Table {
                     continue;
                 }
             };
-            let fix = refixup_fragments(&g, &old, &next, &remap, &events, k, &exec, config, 0);
-            let full = run_simple_mst_configured(&next, k, &exec, config);
+            let fix = refixup_fragments(&g, &old, &next, &remap, &events, k, &exec, 0);
+            let full = run_simple_mst(&next, k, &exec);
             // independent oracle check (the re-fixup certificate aside)
             let oracle = simple_mst_forest(&next, k);
             let mut fe = fix.fragments.tree_edges.clone();
@@ -1317,7 +1319,7 @@ pub fn e22(quick: bool) -> Table {
 /// enough CPUs (`can_bench_threads`), so an undersubscribed host shows
 /// "skip" instead of a misleading slowdown.
 pub fn e23(quick: bool) -> Table {
-    use kdom_congest::{EngineConfig, Simulator};
+    use kdom_congest::Simulator;
     use kdom_core::dist::bfs::BfsNode;
     use kdom_graph::generators::{gnm_connected, GenConfig};
     use std::time::Instant;

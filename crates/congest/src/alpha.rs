@@ -956,25 +956,6 @@ pub fn run_protocol_alpha<P: Protocol>(
     Ok((sim.into_nodes(), report))
 }
 
-/// Convenience: α execution with injected faults and *no* recovery layer.
-/// Under loss most protocols stall — useful for testing the watchdog.
-///
-/// # Errors
-///
-/// Propagates every [`SimError`] of [`AlphaSimulator::run`].
-pub fn run_protocol_alpha_faulty<P: Protocol>(
-    graph: &Graph,
-    nodes: Vec<P>,
-    seed: u64,
-    max_delay: u64,
-    plan: &FaultPlan,
-    max_pulses: u64,
-) -> Result<(Vec<P>, AlphaReport), SimError> {
-    let mut sim = AlphaSimulator::with_faults(graph, nodes, seed, max_delay, plan);
-    let report = sim.run(max_pulses)?;
-    Ok((sim.into_nodes(), report))
-}
-
 /// Convenience: α execution with injected faults *and* the reliable
 /// ARQ layer, sized for the run's delay bounds. Protocol outputs match
 /// the fault-free synchronous execution (on the surviving component).
@@ -1054,7 +1035,8 @@ mod tests {
     fn alpha_bfs_matches_synchronous_output() {
         for seed in 0..5u64 {
             let g = gnp_connected(&GenConfig::with_seed(40, seed), 0.1);
-            let (sync_nodes, _) = run_protocol(&g, bfs_nodes(40), 10_000).unwrap();
+            let (sync_nodes, _) =
+                run_protocol(&g, bfs_nodes(40), 10_000, crate::EngineConfig::default()).unwrap();
             let (async_nodes, report) =
                 run_protocol_alpha(&g, bfs_nodes(40), seed, 5, 10_000).unwrap();
             let want = bfs_distances(&g, kdom_graph::NodeId(0));
@@ -1074,7 +1056,8 @@ mod tests {
     #[test]
     fn alpha_pulse_count_matches_synchronous_rounds_shape() {
         let g = path(&GenConfig::with_seed(30, 0));
-        let (_, sync_report) = run_protocol(&g, bfs_nodes(30), 10_000).unwrap();
+        let (_, sync_report) =
+            run_protocol(&g, bfs_nodes(30), 10_000, crate::EngineConfig::default()).unwrap();
         let (_, alpha_report) = run_protocol_alpha(&g, bfs_nodes(30), 7, 3, 10_000).unwrap();
         // α keeps *adjacent* nodes within one pulse, so across a path the
         // fastest node can run ahead by up to the diameter before global
@@ -1113,7 +1096,8 @@ mod tests {
     fn lossy_alpha_without_recovery_stalls_with_diagnostics() {
         let g = path(&GenConfig::with_seed(20, 0));
         let plan = FaultPlan::new(5).drop_prob(0.5);
-        let err = run_protocol_alpha_faulty(&g, bfs_nodes(20), 1, 3, &plan, 10_000).unwrap_err();
+        let mut sim = AlphaSimulator::with_faults(&g, bfs_nodes(20), 1, 3, &plan);
+        let err = sim.run(10_000).unwrap_err();
         match err {
             SimError::Stalled { stall } | SimError::RoundLimitExceeded { stall, .. } => {
                 assert!(!stall.not_done.is_empty(), "stuck nodes are named");

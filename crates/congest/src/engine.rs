@@ -43,9 +43,10 @@
 //!    errors abort the run, so no caller observes that state through the
 //!    public API.
 //!
-//! Configuration comes from [`EngineConfig`], which the convenience
-//! runners fill from the environment: `KDOM_THREADS`, `KDOM_FASTFWD`,
-//! `KDOM_DENSE_PCT`, and `KDOM_SHARD_MIN`.
+//! Configuration comes from [`EngineConfig`], which every runner takes
+//! from its caller. Only binaries and tests read the `KDOM_THREADS`,
+//! `KDOM_FASTFWD`, `KDOM_DENSE_PCT` and `KDOM_SHARD_MIN` knobs, through
+//! [`EngineConfig::from_env`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -69,7 +70,7 @@ pub struct EngineConfig {
     pub threads: usize,
     /// Skip provably-empty rounds in O(1) (see
     /// [`Simulator::fast_forward`](crate::Simulator::fast_forward)).
-    /// On by default; `KDOM_FASTFWD=0` disables it.
+    /// On by default.
     pub fast_forward: bool,
     /// Active-fraction percentage at which the scheduler falls back to a
     /// dense `0..n` scan instead of merging near-full lists. `0` forces
@@ -108,7 +109,8 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Reads the configuration from the environment:
+    /// Reads the configuration from the environment (binaries call this;
+    /// library runners take their configuration from the caller):
     ///
     /// - `KDOM_THREADS`: worker count ([`EngineConfig::check_threads`]);
     /// - `KDOM_FASTFWD`: `0`/`off`/`false`/`no` disables fast-forward,

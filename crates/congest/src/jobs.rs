@@ -1,15 +1,10 @@
 //! kdom as a service: typed run specifications, a bounded job
 //! scheduler, and a content-addressed result cache.
 //!
-//! Historically a "run" was whatever the environment happened to say:
-//! `KDOM_THREADS`, `KDOM_FASTFWD`, … were read at scattered call sites,
-//! so two runs were comparable only if the shell that launched them was
-//! identical. [`RunSpec`] makes the run an explicit *value* — algorithm,
-//! `k`, seed, schedule knobs, worker threads, fault plan, trace toggle —
-//! with [`RunSpec::from_env`] as the one adapter that still speaks the
-//! old knob dialect. Everything downstream (the engine config, the
-//! executor, the cache key) is derived from the spec, never from the
-//! environment.
+//! [`RunSpec`] makes a run an explicit *value* — algorithm, `k`, seed,
+//! schedule knobs, worker threads, fault plan, trace toggle.
+//! Everything downstream (the engine config, the executor, the cache
+//! key) is derived from the spec, never from the environment.
 //!
 //! On top of the spec sit two service pieces:
 //!
@@ -79,7 +74,7 @@ impl Algo {
     /// Every service algorithm, in canonical order.
     pub const ALL: [Algo; 3] = [Algo::SimpleMst, Algo::FastDomG, Algo::Bfs];
 
-    /// Stable kebab-case label (wire protocol, bench rows, `KDOM_ALGO`).
+    /// Stable kebab-case label (wire protocol, bench rows).
     pub fn label(self) -> &'static str {
         match self {
             Algo::SimpleMst => "simple-mst",
@@ -141,9 +136,8 @@ pub enum ExecSpec {
 /// outputs, and nothing that doesn't.
 ///
 /// Construction is programmatic ([`Default`] plus the `with_*`
-/// builders) or via [`RunSpec::from_env`], which is now the *only*
-/// place the legacy run knobs are interpreted. The spec is the unit of
-/// scheduling ([`JobPool::submit`]) and — through
+/// builders). The spec is the unit of scheduling ([`JobPool::submit`])
+/// and — through
 /// [`RunSpec::canonical_hash`] — half of the result-cache key.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunSpec {
@@ -167,7 +161,9 @@ pub struct RunSpec {
     pub shard_min: usize,
     /// The execution backend.
     pub exec: ExecSpec,
-    /// The fault adversary (fault-free by default).
+    /// The fault adversary (fault-free by default). Only
+    /// [`ExecSpec::ReliableAlpha`] runs under it; a sync spec's run is
+    /// fault-free whatever the plan says.
     pub faults: FaultPlan,
     /// Capture a per-job JSONL trace into the job's [`MemorySink`]
     /// (streamed by `kdom-serve` subscribers, returned in
@@ -247,81 +243,6 @@ impl RunSpec {
             shard_min: self.shard_min,
             bit_budget: None,
             codec_profile: false,
-        }
-    }
-
-    /// The spec read from the legacy environment knobs — the *single*
-    /// adapter between the knob dialect and the typed spec. Reads
-    /// `KDOM_ALGO`, `KDOM_K`, `KDOM_SEED`, `KDOM_EXEC`,
-    /// `KDOM_MAX_DELAY`, the engine knobs (via
-    /// [`EngineConfig::from_env`]) and the `KDOM_TRACE` toggle; the
-    /// fault plan stays fault-free (fault injection has no knob dialect
-    /// — plans are built programmatically or by the chaos harness).
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming the variable and the offending value, when any
-    /// knob is set but malformed (via [`kdom_graph::knob`]). Also
-    /// panics when `KDOM_TRANSPORT` names a socket endpoint: an
-    /// in-process run cannot honor a multi-process fleet, and silently
-    /// running locally would be worse — the message points at the
-    /// `kdom-shard` launcher instead.
-    pub fn from_env() -> Self {
-        use kdom_graph::knob::{knob, knob_checked, knob_enum, raw};
-        match raw("KDOM_TRANSPORT") {
-            None => {}
-            Some(v) if v == "local" => {}
-            Some(v) if v.parse::<crate::transport::Endpoint>().is_ok() => panic!(
-                "KDOM_TRANSPORT={v} names a socket endpoint, but an in-process run \
-                 cannot drive a multi-process fleet (it must hold the final automata). \
-                 Launch the distributed run with the kdom-shard binary instead: \
-                 `kdom-shard run --shards N --graph … --proto …`"
-            ),
-            Some(v) => panic!(
-                "KDOM_TRANSPORT={v:?} is not understood: use `local`, or run the \
-                 kdom-shard binary for socket transports"
-            ),
-        }
-        let engine = EngineConfig::from_env();
-        let algo = knob_enum(
-            "KDOM_ALGO",
-            Algo::SimpleMst,
-            &[
-                (&["simple-mst", "simplemst", "mst"], Algo::SimpleMst),
-                (&["fastdom-g", "fastdom", "dom"], Algo::FastDomG),
-                (&["bfs"], Algo::Bfs),
-            ],
-        );
-        let seed = knob("KDOM_SEED", 0u64);
-        let max_delay = knob_checked("KDOM_MAX_DELAY", 4u64, |&d| {
-            if d >= 1 {
-                Ok(())
-            } else {
-                Err("the maximum base delay must be at least 1".into())
-            }
-        });
-        let exec = knob_enum(
-            "KDOM_EXEC",
-            ExecSpec::Sync,
-            &[
-                (&["sync", "local"], ExecSpec::Sync),
-                (
-                    &["alpha", "reliable-alpha", "reliable"],
-                    ExecSpec::ReliableAlpha { max_delay },
-                ),
-            ],
-        );
-        RunSpec {
-            algo,
-            k: knob("KDOM_K", 0u64),
-            seed,
-            threads: engine.threads,
-            fast_forward: engine.fast_forward,
-            dense_pct: engine.dense_pct,
-            shard_min: engine.shard_min,
-            exec,
-            faults: FaultPlan::new(seed),
-            trace: raw(trace::TRACE_ENV).is_some(),
         }
     }
 

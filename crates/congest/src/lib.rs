@@ -18,7 +18,7 @@
 //! # Example: flooding a token
 //!
 //! ```
-//! use kdom_congest::{Message, NodeCtx, Outbox, Port, Protocol, Simulator};
+//! use kdom_congest::{EngineConfig, Message, NodeCtx, Outbox, Port, Protocol, Simulator};
 //! use kdom_graph::generators::{path, GenConfig};
 //!
 //! #[derive(Clone, Debug)]
@@ -41,7 +41,7 @@
 //!
 //! let g = path(&GenConfig::with_seed(10, 0));
 //! let nodes = (0..10).map(|i| Flood { seen: false, origin: i == 0 }).collect();
-//! let mut sim = Simulator::new(&g, nodes);
+//! let mut sim = Simulator::with_config(&g, nodes, EngineConfig::default());
 //! let report = sim.run(100).unwrap();
 //! assert!(sim.nodes().iter().all(|n| n.seen));
 //! // 9 hops, one final processing step, one echo drained at the far end
@@ -75,10 +75,7 @@ pub mod trace;
 pub mod transport;
 pub mod wire;
 
-pub use alpha::{
-    run_protocol_alpha, run_protocol_alpha_faulty, run_protocol_alpha_reliable, AlphaReport,
-    AlphaSimulator,
-};
+pub use alpha::{run_protocol_alpha, run_protocol_alpha_reliable, AlphaReport, AlphaSimulator};
 pub use chaos::{
     gen_schedule, gen_schedule_with_mix, random_epoch, shrink, ChaosConfig, ChaosSchedule,
     EventMix, ShrinkReport,
@@ -96,9 +93,8 @@ pub use jobs::{
 pub use reliable::ReliableConfig;
 pub use report::RunReport;
 pub use sim::{
-    congest_budget, run_protocol, run_protocol_faulty, run_protocol_faulty_with, run_protocol_with,
-    InvariantView, Message, NodeCtx, Outbox, Port, Protocol, SimError, Simulator, StallReport,
-    Wake, CONGEST_WORD_BITS,
+    congest_budget, run_protocol, InvariantView, Message, NodeCtx, Outbox, Port, Protocol,
+    SimError, Simulator, StallReport, Wake, CONGEST_WORD_BITS,
 };
 pub use trace::{JsonlSink, MemorySink, TraceEvent, TraceSink, TraceSummary};
 pub use transport::{

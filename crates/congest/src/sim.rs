@@ -212,7 +212,7 @@ pub enum Wake {
 /// A per-node automaton executed synchronously by the [`Simulator`].
 ///
 /// The `Send` bound lets the engine shard automata across worker threads
-/// when `KDOM_THREADS` asks for a parallel compute phase; automata are
+/// when [`EngineConfig::threads`] asks for a parallel compute phase; automata are
 /// plain state machines, so it is automatic.
 pub trait Protocol: Send {
     /// The message type of this protocol.
@@ -460,10 +460,9 @@ type InvariantFn<P> = Box<dyn FnMut(&InvariantView<'_, P>) -> Result<(), String>
 /// A thin shell over the shared round core (the round loop, message
 /// arena, and scheduling) driving the in-process [`crate::engine`]
 /// backend (the automata and the optional parallel compute phase); this
-/// type adds the invariant hooks and the public surface. Construction
-/// via [`Simulator::new`] reads the engine configuration from the
-/// environment ([`EngineConfig::from_env`]); use
-/// [`Simulator::with_config`] to pin it explicitly.
+/// type adds the invariant hooks and the public surface. Every
+/// constructor takes its [`EngineConfig`] from the caller; nothing here
+/// reads the environment's engine knobs.
 pub struct Simulator<'g, P: Protocol> {
     core: RoundCore<'g, P::Msg>,
     engine: RoundEngine<'g, P>,
@@ -471,17 +470,7 @@ pub struct Simulator<'g, P: Protocol> {
 }
 
 impl<'g, P: Protocol> Simulator<'g, P> {
-    /// Creates a simulator with one automaton per node, configured from
-    /// the environment ([`EngineConfig::from_env`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len() != graph.node_count()`.
-    pub fn new(graph: &'g Graph, nodes: Vec<P>) -> Self {
-        Self::with_config(graph, nodes, EngineConfig::from_env())
-    }
-
-    /// Creates a simulator with an explicit engine configuration.
+    /// Creates a simulator with one automaton per node.
     ///
     /// # Panics
     ///
@@ -510,24 +499,14 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// (the synchronous model has no delivery delays). Without a recovery
     /// layer most protocols are *expected* to fail under loss — the
     /// watchdog turns that into a structured [`SimError`] instead of a
-    /// hang or a wrong answer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len() != graph.node_count()`.
-    pub fn with_faults(graph: &'g Graph, nodes: Vec<P>, plan: &FaultPlan) -> Self {
-        Self::with_faults_config(graph, nodes, plan, EngineConfig::from_env())
-    }
-
-    /// Like [`Simulator::with_faults`] with an explicit engine
-    /// configuration. The injected fault stream is part of the
+    /// hang or a wrong answer. The injected fault stream is part of the
     /// deterministic run: it is identical across thread counts and
     /// schedules.
     ///
     /// # Panics
     ///
     /// Panics if `nodes.len() != graph.node_count()`.
-    pub fn with_faults_config(
+    pub fn with_faults(
         graph: &'g Graph,
         nodes: Vec<P>,
         plan: &FaultPlan,
@@ -663,8 +642,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 }
 
 /// Convenience: builds a simulator, runs it to quiescence, and returns the
-/// automata plus the report. The engine configuration comes from the
-/// environment ([`EngineConfig::from_env`]).
+/// automata plus the report.
 ///
 /// # Errors
 ///
@@ -673,53 +651,9 @@ pub fn run_protocol<P: Protocol>(
     graph: &Graph,
     nodes: Vec<P>,
     max_rounds: u64,
-) -> Result<(Vec<P>, RunReport), SimError> {
-    run_protocol_with(graph, nodes, max_rounds, EngineConfig::from_env())
-}
-
-/// Like [`run_protocol`] with an explicit [`EngineConfig`].
-///
-/// # Errors
-///
-/// Propagates every [`SimError`] of [`Simulator::run`].
-pub fn run_protocol_with<P: Protocol>(
-    graph: &Graph,
-    nodes: Vec<P>,
-    max_rounds: u64,
     config: EngineConfig,
 ) -> Result<(Vec<P>, RunReport), SimError> {
     let mut sim = Simulator::with_config(graph, nodes, config);
-    sim.run(max_rounds)?;
-    Ok(sim.into_parts())
-}
-
-/// Convenience: like [`run_protocol`] but with a [`FaultPlan`] injected.
-///
-/// # Errors
-///
-/// Propagates every [`SimError`] of [`Simulator::run`].
-pub fn run_protocol_faulty<P: Protocol>(
-    graph: &Graph,
-    nodes: Vec<P>,
-    plan: &FaultPlan,
-    max_rounds: u64,
-) -> Result<(Vec<P>, RunReport), SimError> {
-    run_protocol_faulty_with(graph, nodes, plan, max_rounds, EngineConfig::from_env())
-}
-
-/// Like [`run_protocol_faulty`] with an explicit [`EngineConfig`].
-///
-/// # Errors
-///
-/// Propagates every [`SimError`] of [`Simulator::run`].
-pub fn run_protocol_faulty_with<P: Protocol>(
-    graph: &Graph,
-    nodes: Vec<P>,
-    plan: &FaultPlan,
-    max_rounds: u64,
-    config: EngineConfig,
-) -> Result<(Vec<P>, RunReport), SimError> {
-    let mut sim = Simulator::with_faults_config(graph, nodes, plan, config);
     sim.run(max_rounds)?;
     Ok(sim.into_parts())
 }
@@ -775,8 +709,19 @@ mod tests {
                 dist: None,
             })
             .collect();
-        let (nodes, report) = run_protocol(g, nodes, 10_000).unwrap();
+        let (nodes, report) = run_protocol(g, nodes, 10_000, EngineConfig::default()).unwrap();
         (nodes.into_iter().map(|b| b.dist.unwrap()).collect(), report)
+    }
+
+    fn run_faulty<P: Protocol>(
+        g: &Graph,
+        nodes: Vec<P>,
+        plan: &FaultPlan,
+        max_rounds: u64,
+    ) -> Result<(Vec<P>, RunReport), SimError> {
+        let mut sim = Simulator::with_faults(g, nodes, plan, EngineConfig::default());
+        sim.run(max_rounds)?;
+        Ok(sim.into_parts())
     }
 
     #[test]
@@ -828,7 +773,7 @@ mod tests {
             }
         }
         let g = path(&GenConfig::with_seed(2, 0));
-        let err = run_protocol(&g, vec![Chatter, Chatter], 5).unwrap_err();
+        let err = run_protocol(&g, vec![Chatter, Chatter], 5, EngineConfig::default()).unwrap_err();
         let SimError::RoundLimitExceeded { limit, stall } = &err else {
             panic!("expected RoundLimitExceeded, got {err:?}");
         };
@@ -862,7 +807,7 @@ mod tests {
             }
         }
         let g = path(&GenConfig::with_seed(2, 0));
-        let err = run_protocol(&g, vec![Bad, Bad], 5).unwrap_err();
+        let err = run_protocol(&g, vec![Bad, Bad], 5, EngineConfig::default()).unwrap_err();
         assert_eq!(
             err,
             SimError::CongestViolation {
@@ -922,7 +867,7 @@ mod tests {
                 fired: false,
             })
             .collect();
-        let (nodes, _) = run_protocol(&g, nodes, 10).unwrap();
+        let (nodes, _) = run_protocol(&g, nodes, 10, EngineConfig::default()).unwrap();
         assert!(nodes.iter().all(|n| n.ok));
     }
 
@@ -951,7 +896,7 @@ mod tests {
             }
         }
         let nodes = (0..3).map(|_| Mid { ticked: false }).collect();
-        let (_, report) = run_protocol(&g, nodes, 10).unwrap();
+        let (_, report) = run_protocol(&g, nodes, 10, EngineConfig::default()).unwrap();
         assert_eq!(report.messages, 1);
         assert_eq!(report.rounds, 2);
     }
@@ -968,7 +913,7 @@ mod tests {
                 dist: None,
             })
             .collect();
-        let (nodes, report) = run_protocol_faulty(&g, nodes, &plan, 100).unwrap();
+        let (nodes, report) = run_faulty(&g, nodes, &plan, 100).unwrap();
         for (v, node) in nodes.iter().enumerate().take(4) {
             assert_eq!(node.dist, Some(v as u32), "survivor distances intact");
         }
@@ -993,7 +938,7 @@ mod tests {
                 dist: None,
             })
             .collect();
-        let err = run_protocol_faulty::<Bfs>(&g, nodes, &plan, 50).unwrap_err();
+        let err = run_faulty::<Bfs>(&g, nodes, &plan, 50).unwrap_err();
         let SimError::RoundLimitExceeded { stall, .. } = err else {
             panic!("expected budget exhaustion");
         };
@@ -1029,7 +974,7 @@ mod tests {
         let g = path(&GenConfig::with_seed(2, 0));
         let plan = FaultPlan::new(3).dup_prob(1.0);
         let (nodes, report) =
-            run_protocol_faulty(&g, vec![Count::default(), Count::default()], &plan, 10).unwrap();
+            run_faulty(&g, vec![Count::default(), Count::default()], &plan, 10).unwrap();
         assert_eq!(nodes[1].got, 2, "duplicated copy arrives in the same round");
         assert_eq!(report.duplicated_messages, 1);
     }
@@ -1043,7 +988,7 @@ mod tests {
                 dist: None,
             })
             .collect();
-        let mut sim = Simulator::new(&g, nodes);
+        let mut sim = Simulator::with_config(&g, nodes, EngineConfig::default());
         sim.add_invariant("no-depth-beyond-1", |view| {
             for (v, n) in view.nodes.iter().enumerate() {
                 if n.dist.is_some_and(|d| d > 1) {
@@ -1128,7 +1073,7 @@ mod tests {
                 heard_bits: None,
             },
         ];
-        let (nodes, report) = run_protocol(&g, nodes, 100).unwrap();
+        let (nodes, report) = run_protocol(&g, nodes, 100, EngineConfig::default()).unwrap();
         assert_eq!(nodes[1].heard_bits, Some(huge_bits), "payload intact");
         assert_eq!(report.messages, 1);
         assert_eq!(report.total_bits, huge_bits, "recomputed, not truncated");
@@ -1144,7 +1089,7 @@ mod tests {
                 dist: None,
             })
             .collect();
-        let mut sim = Simulator::new(&g, nodes);
+        let mut sim = Simulator::with_config(&g, nodes, EngineConfig::default());
         let g2 = path(&GenConfig::with_seed(6, 0));
         sim.add_invariant("pending-sorted", |view| {
             for q in view.pending {

@@ -98,7 +98,7 @@ pub enum TraceEvent<'a> {
     },
     /// The round's staged sends are merged into the arena. Emitted once
     /// per executed round with totals summed over all worker shards, so
-    /// the stream is identical regardless of `KDOM_THREADS`.
+    /// the stream is identical regardless of the engine's thread count.
     ShardFlush {
         /// The round being merged.
         round: u64,

@@ -1372,7 +1372,7 @@ impl RoundBackend<Frame> for Fleet {
 /// backend until quiescence. The returned report — and the stream
 /// written to `trace`, if any — is byte-identical to
 /// `Simulator::with_config(..).run(max_rounds)` (or
-/// `Simulator::with_faults_config` under `opts.plan`) on a single
+/// `Simulator::with_faults` under `opts.plan`) on a single
 /// process.
 ///
 /// # Errors

@@ -8,8 +8,10 @@
 //! substrate Procedure `Initialize` and `Pipeline` build on.
 
 use kdom_congest::wire::{BitReader, BitWriter, Wire, WireError};
-use kdom_congest::{Message, NodeCtx, Outbox, Port, Protocol, Wake};
+use kdom_congest::{Message, NodeCtx, Outbox, Port, Protocol, RunReport, SimError, Wake};
 use kdom_graph::{Graph, NodeId};
+
+use crate::dist::executor::Executor;
 
 /// BFS protocol messages.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -127,21 +129,25 @@ impl Protocol for BfsNode {
     }
 }
 
-/// Runs BFS from `root` and returns the automata (with parents, depths
-/// and children filled in) plus the run report.
+/// Runs BFS from `root` on `exec` and returns the automata (with parents,
+/// depths and children filled in) plus the run report.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the graph is disconnected (the protocol would not quiesce
-/// with undiscovered nodes; they keep `depth = None` and the run errors).
-pub fn run_bfs(g: &Graph, root: NodeId) -> (Vec<BfsNode>, kdom_congest::RunReport) {
+/// Propagates the executor's [`SimError`]. On a disconnected graph the
+/// undiscovered nodes keep `depth = None`, so the run exhausts its
+/// `O(n)` budget.
+pub fn run_bfs(
+    g: &Graph,
+    root: NodeId,
+    exec: &Executor,
+) -> Result<(Vec<BfsNode>, RunReport), SimError> {
     let nodes = (0..g.node_count())
         .map(|v| BfsNode::new(v == root.0))
         .collect();
+    let budget = exec.watchdog_budget(4 * g.node_count() as u64 + 16);
     kdom_congest::trace::emit_phase("BFS");
-    let (nodes, report) = kdom_congest::run_protocol(g, nodes, 4 * g.node_count() as u64 + 16)
-        .expect("BFS quiesces within O(n) rounds on a connected graph");
-    (nodes, report)
+    exec.run(g, nodes, budget)
 }
 
 #[cfg(test)]
@@ -155,7 +161,7 @@ mod tests {
     fn depths_match_reference() {
         for fam in Family::ALL {
             let g = fam.generate(50, 3);
-            let (nodes, _) = run_bfs(&g, NodeId(0));
+            let (nodes, _) = run_bfs(&g, NodeId(0), &Executor::default()).unwrap();
             let expect = bfs_distances(&g, NodeId(0));
             for v in 0..g.node_count() {
                 assert_eq!(nodes[v].depth, Some(expect[v]), "{fam} node {v}");
@@ -166,7 +172,7 @@ mod tests {
     #[test]
     fn parents_form_a_tree_with_consistent_children() {
         let g = gnp_connected(&GenConfig::with_seed(60, 5), 0.1);
-        let (nodes, _) = run_bfs(&g, NodeId(0));
+        let (nodes, _) = run_bfs(&g, NodeId(0), &Executor::default()).unwrap();
         let mut child_count = 0;
         for (v, node) in nodes.iter().enumerate() {
             match node.parent {
@@ -188,7 +194,7 @@ mod tests {
     #[test]
     fn rounds_are_eccentricity_plus_constant() {
         let g = path(&GenConfig::with_seed(40, 1));
-        let (_, report) = run_bfs(&g, NodeId(0));
+        let (_, report) = run_bfs(&g, NodeId(0), &Executor::default()).unwrap();
         let ecc = eccentricity(&g, NodeId(0)) as u64;
         assert!(
             report.rounds <= ecc + 3,
@@ -201,7 +207,7 @@ mod tests {
     #[test]
     fn child_ports_point_back() {
         let g = Family::Grid.generate(25, 2);
-        let (nodes, _) = run_bfs(&g, NodeId(0));
+        let (nodes, _) = run_bfs(&g, NodeId(0), &Executor::default()).unwrap();
         for (v, node) in nodes.iter().enumerate() {
             for &cp in &node.children {
                 let child = g.neighbors(NodeId(v))[cp.0].to;

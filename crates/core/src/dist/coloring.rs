@@ -307,7 +307,8 @@ mod tests {
                 })
             })
             .collect();
-        kdom_congest::run_protocol(g, nodes, 10_000).expect("BalancedDOM quiesces")
+        kdom_congest::run_protocol(g, nodes, 10_000, kdom_congest::EngineConfig::default())
+            .expect("BalancedDOM quiesces")
     }
 
     fn check_output(g: &Graph, nodes: &[BalancedNode]) {

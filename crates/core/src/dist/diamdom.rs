@@ -18,10 +18,11 @@
 //! the `k ≥ h` case of Lemma 2.1.
 
 use kdom_congest::wire::{BitReader, BitWriter, Wire, WireError};
-use kdom_congest::{Message, NodeCtx, Outbox, Port, Protocol, RunReport};
+use kdom_congest::{EngineConfig, Message, NodeCtx, Outbox, Port, Protocol, RunReport};
 use kdom_graph::{Graph, NodeId};
 
 use crate::dist::bfs::run_bfs;
+use crate::dist::executor::Executor;
 
 /// Which dominating set the cluster root announced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -446,14 +447,15 @@ impl DiamDomRun {
 
 /// Runs the full distributed `DiamDOM` on a connected graph: BFS from
 /// `root` (Procedure `Initialize`'s first half), then the census protocol
-/// on the BFS tree.
+/// on the BFS tree, both on the synchronous engine under `config`.
 ///
 /// # Panics
 ///
 /// Panics if the graph is disconnected or the protocol exceeds its round
 /// budget (cannot happen on connected graphs).
-pub fn run_diamdom(g: &Graph, root: NodeId, k: usize) -> DiamDomRun {
-    let (bfs, bfs_report) = run_bfs(g, root);
+pub fn run_diamdom(g: &Graph, root: NodeId, k: usize, config: EngineConfig) -> DiamDomRun {
+    let (bfs, bfs_report) = run_bfs(g, root, &Executor::Sync(config))
+        .expect("BFS quiesces within O(n) rounds on a connected graph");
     let nodes: Vec<DiamDomNode> = bfs
         .iter()
         .map(|b| {
@@ -467,7 +469,7 @@ pub fn run_diamdom(g: &Graph, root: NodeId, k: usize) -> DiamDomRun {
         .collect();
     let budget = 20 * (g.node_count() as u64 + k as u64) + 64;
     let (nodes, dd_report) =
-        kdom_congest::run_protocol(g, nodes, budget).expect("DiamDOM quiesces");
+        kdom_congest::run_protocol(g, nodes, budget, config).expect("DiamDOM quiesces");
     let id_to_node: std::collections::HashMap<u64, NodeId> =
         g.nodes().map(|v| (g.id_of(v), v)).collect();
     let dominators: Vec<NodeId> = g.nodes().filter(|&v| nodes[v.0].is_dominator).collect();
@@ -496,7 +498,7 @@ mod tests {
     #[test]
     fn path_census_matches_reference() {
         let g = path(&GenConfig::with_seed(10, 0));
-        let run = run_diamdom(&g, NodeId(0), 2);
+        let run = run_diamdom(&g, NodeId(0), 2, EngineConfig::default());
         // sequential reference: D_1 is smallest (3 of depths 1,4,7)
         assert_eq!(run.chosen, Chosen::Level(1));
         check_k_dominating(&g, &run.dominators, 2).unwrap();
@@ -505,7 +507,7 @@ mod tests {
     #[test]
     fn root_only_mode_on_star() {
         let g = star(&GenConfig::with_seed(30, 1));
-        let run = run_diamdom(&g, NodeId(0), 3);
+        let run = run_diamdom(&g, NodeId(0), 3, EngineConfig::default());
         assert_eq!(run.chosen, Chosen::RootOnly);
         assert_eq!(run.dominators, vec![NodeId(0)]);
         assert!(run.dominator_of.iter().all(|&d| d == NodeId(0)));
@@ -517,7 +519,7 @@ mod tests {
             let n = 30 + (seed as usize) * 7;
             let g = random_tree(&GenConfig::with_seed(n, seed));
             let k = 2 + (seed as usize) % 3;
-            let run = run_diamdom(&g, NodeId(0), k);
+            let run = run_diamdom(&g, NodeId(0), k, EngineConfig::default());
             let seq = crate::levels::existence_dominating_set(&g, NodeId(0), k);
             match (run.chosen, seq.level) {
                 (Chosen::RootOnly, None) => {}
@@ -538,7 +540,7 @@ mod tests {
         for fam in Family::ALL {
             let g = fam.generate(80, 4);
             for k in [1usize, 3, 8] {
-                let run = run_diamdom(&g, NodeId(0), k);
+                let run = run_diamdom(&g, NodeId(0), k, EngineConfig::default());
                 let diam = u64::from(diameter(&g));
                 let bound = 5 * diam + 2 * k as u64 + 12;
                 assert!(
@@ -554,7 +556,7 @@ mod tests {
     #[test]
     fn all_nodes_get_nearest_tree_dominators() {
         let g = gnp_connected(&GenConfig::with_seed(70, 9), 0.07);
-        let run = run_diamdom(&g, NodeId(0), 3);
+        let run = run_diamdom(&g, NodeId(0), 3, EngineConfig::default());
         check_k_dominating(&g, &run.dominators, 3).unwrap();
         // every node's claimed dominator is a dominator
         for d in &run.dominator_of {
@@ -568,7 +570,7 @@ mod tests {
         // the bound is exactly Lemma 2.1's.
         let g = path(&GenConfig::with_seed(30, 3));
         for k in 1..6 {
-            let run = run_diamdom(&g, NodeId(0), k);
+            let run = run_diamdom(&g, NodeId(0), k, EngineConfig::default());
             if run.chosen == Chosen::Level(0) {
                 check_dominating_size(30, k, run.dominators.len()).unwrap();
             }
@@ -580,7 +582,7 @@ mod tests {
         let mut b = kdom_graph::GraphBuilder::new(2);
         b.add_edge(NodeId(0), NodeId(1), 1);
         let g = b.build();
-        let run = run_diamdom(&g, NodeId(0), 1);
+        let run = run_diamdom(&g, NodeId(0), 1, EngineConfig::default());
         assert_eq!(run.chosen, Chosen::RootOnly);
         assert_eq!(run.dominators, vec![NodeId(0)]);
     }

@@ -9,7 +9,7 @@
 //! leader.
 
 use kdom_congest::wire::{BitReader, BitWriter, Wire, WireError};
-use kdom_congest::{Message, NodeCtx, Outbox, Port, Protocol, RunReport};
+use kdom_congest::{EngineConfig, Message, NodeCtx, Outbox, Port, Protocol, RunReport};
 use kdom_graph::{Graph, NodeId};
 
 /// The largest id seen so far: a single 48-bit CONGEST word.
@@ -89,7 +89,8 @@ impl Protocol for ElectionNode {
 pub fn elect_leader(g: &Graph) -> (NodeId, RunReport) {
     assert!(g.node_count() > 0, "cannot elect on an empty graph");
     let nodes = (0..g.node_count()).map(|_| ElectionNode::new()).collect();
-    let (nodes, report) = kdom_congest::run_protocol(g, nodes, 4 * g.node_count() as u64 + 16)
+    let budget = 4 * g.node_count() as u64 + 16;
+    let (nodes, report) = kdom_congest::run_protocol(g, nodes, budget, EngineConfig::default())
         .expect("election quiesces on a connected graph");
     let max_id = g.nodes().map(|v| g.id_of(v)).max().expect("non-empty");
     let leader = g.node_with_id(max_id).expect("max id exists");

@@ -11,14 +11,14 @@
 
 use std::collections::VecDeque;
 
-use kdom_congest::{EngineConfig, Port, RunReport};
+use kdom_congest::{Port, RunReport};
 use kdom_graph::{Graph, NodeId};
 
 use crate::cluster::Charge;
 use crate::clustering::Clustering;
 use crate::dist::diamdom::{DiamDomNode, TreeConfig};
 use crate::dist::executor::Executor;
-use crate::dist::fragments::run_simple_mst_configured;
+use crate::dist::fragments::run_simple_mst;
 use crate::dist::treedp::{DpConfig, TreeDpNode};
 use crate::fastdom::WithinCluster;
 use crate::partition::dom_partition;
@@ -113,10 +113,10 @@ fn run_within(
     k: usize,
     solver: WithinCluster,
     exec: &Executor,
-    config: EngineConfig,
 ) -> (Vec<u64>, RunReport) {
     let n = g.node_count();
     let budget = 30 * (n as u64 + k as u64) + 128;
+    kdom_congest::trace::emit_phase("FastDOM/within");
     match solver {
         WithinCluster::DiamDom => {
             let nodes: Vec<DiamDomNode> = (0..n)
@@ -130,7 +130,7 @@ fn run_within(
                 })
                 .collect();
             let (nodes, report) = exec
-                .run_phase_configured("FastDOM/within", g, nodes, budget, config)
+                .run(g, nodes, budget)
                 .unwrap_or_else(|e| panic!("DiamDOM stage failed: {e}"));
             (
                 nodes
@@ -151,7 +151,7 @@ fn run_within(
                 })
                 .collect();
             let (nodes, report) = exec
-                .run_phase_configured("FastDOM/within", g, nodes, budget, config)
+                .run(g, nodes, budget)
                 .unwrap_or_else(|e| panic!("DP stage failed: {e}"));
             (
                 nodes
@@ -182,23 +182,13 @@ fn clustering_from_dominators(g: &Graph, dominator_id: &[u64]) -> Clustering {
     Clustering::new(cluster_of, centers)
 }
 
-/// Distributed `FastDOM_T` on a tree graph.
-///
-/// # Panics
-///
-/// Panics if `g` is not a tree.
-pub fn fast_dom_t_distributed(g: &Graph, k: usize, solver: WithinCluster) -> DistFastDom {
-    fast_dom_t_distributed_on(g, k, solver, &Executor::Sync)
-}
-
-/// [`fast_dom_t_distributed`] on a chosen execution backend: the
-/// measured within-cluster stage runs the same automata under the
-/// backend (e.g. reliable α over faulty links).
+/// Distributed `FastDOM_T` on a tree graph: the measured within-cluster
+/// stage runs on `exec` (e.g. reliable α over faulty links).
 ///
 /// # Panics
 ///
 /// Panics if `g` is not a tree or a protocol stage fails.
-pub fn fast_dom_t_distributed_on(
+pub fn fast_dom_t_distributed(
     g: &Graph,
     k: usize,
     solver: WithinCluster,
@@ -219,8 +209,7 @@ pub fn fast_dom_t_distributed_on(
         tree_adj[v.0].push(u);
     }
     let plan = plan_cluster_trees(g, &part.clusters, &tree_adj);
-    let (dominator_id, within_report) =
-        run_within(g, &plan, k, solver, exec, EngineConfig::from_env());
+    let (dominator_id, within_report) = run_within(g, &plan, k, solver, exec);
     DistFastDom {
         clustering: clustering_from_dominators(g, &dominator_id),
         fragment_rounds: 0,
@@ -231,44 +220,22 @@ pub fn fast_dom_t_distributed_on(
 
 /// Distributed `FastDOM_G` on a connected graph: measured `SimpleMST`
 /// stage, charged `DOMPartition` stage, measured within-cluster stage.
-pub fn fast_dom_g_distributed(g: &Graph, k: usize, solver: WithinCluster) -> DistFastDom {
-    fast_dom_g_distributed_on(g, k, solver, &Executor::Sync)
-}
-
-/// [`fast_dom_g_distributed`] on a chosen execution backend: both
-/// measured stages (`SimpleMST` and within-cluster) run the same automata
-/// under the backend (e.g. reliable α over faulty links).
+/// Both measured stages run on `exec` (e.g. reliable α over faulty
+/// links). Also returns the absorbed [`RunReport`] of the whole
+/// composition — the measured `SimpleMST` report, the charged
+/// `DOMPartition` rounds, and the measured within-cluster report — which
+/// the service layer schedules and caches.
 ///
 /// # Panics
 ///
 /// Panics if a protocol stage fails.
-pub fn fast_dom_g_distributed_on(
+pub fn fast_dom_g_distributed(
     g: &Graph,
     k: usize,
     solver: WithinCluster,
     exec: &Executor,
-) -> DistFastDom {
-    fast_dom_g_distributed_configured(g, k, solver, exec, EngineConfig::from_env()).0
-}
-
-/// [`fast_dom_g_distributed_on`] with an explicit engine configuration
-/// instead of the environment defaults, also returning the absorbed
-/// [`RunReport`] of the whole composition — the measured `SimpleMST`
-/// report, the charged `DOMPartition` rounds, and the measured
-/// within-cluster report. This is the spec-driven entry the service
-/// layer schedules and caches.
-///
-/// # Panics
-///
-/// Panics if a protocol stage fails.
-pub fn fast_dom_g_distributed_configured(
-    g: &Graph,
-    k: usize,
-    solver: WithinCluster,
-    exec: &Executor,
-    config: EngineConfig,
 ) -> (DistFastDom, RunReport) {
-    let fragments = run_simple_mst_configured(g, k, exec, config);
+    let fragments = run_simple_mst(g, k, exec);
     let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); fragments.roots.len()];
     for v in g.nodes() {
         members[fragments.fragment_of[v.0]].push(v);
@@ -293,7 +260,7 @@ pub fn fast_dom_g_distributed_configured(
     kdom_congest::trace::emit_phase("DOMPartition");
     kdom_congest::trace::emit_charge(charge.rounds);
     let plan = plan_cluster_trees(g, &all_clusters, &tree_adj);
-    let (dominator_id, within_report) = run_within(g, &plan, k, solver, exec, config);
+    let (dominator_id, within_report) = run_within(g, &plan, k, solver, exec);
     let mut report = fragments.report.clone();
     report.charge_rounds(charge.rounds);
     report.absorb(&within_report);
@@ -319,7 +286,8 @@ mod tests {
         for fam in Family::TREES {
             for k in [2usize, 5] {
                 let g = fam.generate(150, 7);
-                let res = fast_dom_t_distributed(&g, k, WithinCluster::OptimalDp);
+                let res =
+                    fast_dom_t_distributed(&g, k, WithinCluster::OptimalDp, &Executor::default());
                 check_fastdom_output(&g, &res.clustering, k)
                     .unwrap_or_else(|e| panic!("{fam} k={k}: {e}"));
                 assert!(
@@ -335,7 +303,7 @@ mod tests {
         for fam in Family::TREES {
             let k = 4;
             let g = fam.generate(120, 9);
-            let res = fast_dom_t_distributed(&g, k, WithinCluster::DiamDom);
+            let res = fast_dom_t_distributed(&g, k, WithinCluster::DiamDom, &Executor::default());
             check_k_dominating(&g, res.dominators(), k).unwrap_or_else(|e| panic!("{fam}: {e}"));
             crate::verify::check_clusters(&g, &res.clustering, 1, k as u32)
                 .unwrap_or_else(|e| panic!("{fam}: {e}"));
@@ -347,7 +315,8 @@ mod tests {
         for fam in [Family::Grid, Family::Gnp] {
             for k in [3usize, 6] {
                 let g = fam.generate(180, 11);
-                let res = fast_dom_g_distributed(&g, k, WithinCluster::OptimalDp);
+                let (res, _) =
+                    fast_dom_g_distributed(&g, k, WithinCluster::OptimalDp, &Executor::default());
                 check_fastdom_output(&g, &res.clustering, k)
                     .unwrap_or_else(|e| panic!("{fam} k={k}: {e}"));
                 assert!(res.fragment_rounds > 0);
@@ -361,7 +330,7 @@ mod tests {
         // the dominating sets coincide exactly
         let g = Family::RandomTree.generate(130, 13);
         let k = 4;
-        let dist = fast_dom_t_distributed(&g, k, WithinCluster::OptimalDp);
+        let dist = fast_dom_t_distributed(&g, k, WithinCluster::OptimalDp, &Executor::default());
         let seq = crate::fastdom::fast_dom_t(&g, k, WithinCluster::OptimalDp);
         let mut a = dist.dominators().to_vec();
         let mut b = seq.dominators().to_vec();
@@ -377,12 +346,14 @@ mod tests {
         // hence on DP tie-breaks — the fault-recovery suite needs
         // run-to-run determinism to compare backends
         let g = Family::RandomTree.generate(60, 30);
-        let a = fast_dom_t_distributed(&g, 2, WithinCluster::OptimalDp);
-        let b = fast_dom_t_distributed(&g, 2, WithinCluster::OptimalDp);
+        let a = fast_dom_t_distributed(&g, 2, WithinCluster::OptimalDp, &Executor::default());
+        let b = fast_dom_t_distributed(&g, 2, WithinCluster::OptimalDp, &Executor::default());
         assert_eq!(a.dominators(), b.dominators());
         let gg = Family::Gnp.generate(60, 30);
-        let ga = fast_dom_g_distributed(&gg, 2, WithinCluster::OptimalDp);
-        let gb = fast_dom_g_distributed(&gg, 2, WithinCluster::OptimalDp);
+        let (ga, _) =
+            fast_dom_g_distributed(&gg, 2, WithinCluster::OptimalDp, &Executor::default());
+        let (gb, _) =
+            fast_dom_g_distributed(&gg, 2, WithinCluster::OptimalDp, &Executor::default());
         assert_eq!(ga.dominators(), gb.dominators());
     }
 
@@ -393,11 +364,13 @@ mod tests {
             &Family::RandomTree.generate(200, 15),
             k,
             WithinCluster::OptimalDp,
+            &Executor::default(),
         );
         let large = fast_dom_t_distributed(
             &Family::RandomTree.generate(2000, 15),
             k,
             WithinCluster::OptimalDp,
+            &Executor::default(),
         );
         // cluster radii are ≤ 5k+2 in both, so the measured stage is flat
         assert!(

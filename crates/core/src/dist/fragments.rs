@@ -22,6 +22,7 @@ use kdom_congest::wire::{BitReader, BitWriter, Wire, WireError};
 use kdom_congest::{Message, NodeCtx, Outbox, Port, Protocol, RunReport, Wake};
 use kdom_graph::{EdgeId, Graph, NodeId};
 
+use crate::dist::executor::Executor;
 use crate::logstar::ceil_log2;
 
 /// `SimpleMST` messages.
@@ -449,43 +450,14 @@ pub struct DistFragments {
     pub report: RunReport,
 }
 
-/// Runs the distributed `SimpleMST` and extracts the fragment forest.
-///
-/// # Panics
-///
-/// Panics if the protocol exceeds its (generous) round budget.
-pub fn run_simple_mst(g: &Graph, k: usize) -> DistFragments {
-    run_simple_mst_on(g, k, &crate::dist::executor::Executor::Sync)
-}
-
-/// [`run_simple_mst`] on a chosen execution backend: the same automata
-/// run under synchronizer α with faults and recovery when asked.
+/// Runs the distributed `SimpleMST` on `exec` and extracts the fragment
+/// forest.
 ///
 /// # Panics
 ///
 /// Panics if the run fails (budget exhaustion, stall, delivery failure);
 /// the message carries the simulator's structured diagnosis.
-pub fn run_simple_mst_on(
-    g: &Graph,
-    k: usize,
-    exec: &crate::dist::executor::Executor,
-) -> DistFragments {
-    run_simple_mst_configured(g, k, exec, kdom_congest::EngineConfig::from_env())
-}
-
-/// [`run_simple_mst_on`] with an explicit engine configuration instead of
-/// the environment defaults, so tests can pin thread counts without
-/// mutating the process environment.
-///
-/// # Panics
-///
-/// Panics if the run fails, as [`run_simple_mst_on`].
-pub fn run_simple_mst_configured(
-    g: &Graph,
-    k: usize,
-    exec: &crate::dist::executor::Executor,
-    config: kdom_congest::EngineConfig,
-) -> DistFragments {
+pub fn run_simple_mst(g: &Graph, k: usize, exec: &Executor) -> DistFragments {
     let nodes: Vec<FragmentNode> = g
         .nodes()
         .map(|v| FragmentNode::new(k, g.id_of(v)))
@@ -493,7 +465,7 @@ pub fn run_simple_mst_configured(
     let budget = exec.watchdog_budget(schedule_end(k) + 8);
     kdom_congest::trace::emit_phase("SimpleMST");
     let (nodes, report) = exec
-        .run_configured(g, nodes, budget, config)
+        .run(g, nodes, budget)
         .unwrap_or_else(|e| panic!("SimpleMST failed to quiesce: {e}"));
 
     let parents: Vec<Option<Port>> = nodes.iter().map(|x| x.parent).collect();
@@ -567,7 +539,7 @@ mod tests {
     use kdom_graph::generators::Family;
 
     fn cross_check(g: &Graph, k: usize) {
-        let dist = run_simple_mst(g, k);
+        let dist = run_simple_mst(g, k, &Executor::default());
         let seq = simple_mst_forest(g, k);
         // identical edge sets
         let mut de = dist.tree_edges.clone();
@@ -617,7 +589,7 @@ mod tests {
         let g = Family::Grid.generate(400, 2);
         let mut prev = 0u64;
         for k in [1usize, 3, 7, 15, 31] {
-            let dist = run_simple_mst(&g, k);
+            let dist = run_simple_mst(&g, k, &Executor::default());
             let end = schedule_end(k);
             assert!(
                 dist.report.rounds >= end - 1 && dist.report.rounds <= end + 2,
@@ -635,7 +607,7 @@ mod tests {
     fn fragment_sizes_meet_k_plus_one() {
         let g = Family::RandomTree.generate(120, 9);
         let k = 7;
-        let dist = run_simple_mst(&g, k);
+        let dist = run_simple_mst(&g, k, &Executor::default());
         let mut sizes = vec![0usize; dist.roots.len()];
         for &f in &dist.fragment_of {
             sizes[f] += 1;

@@ -864,7 +864,8 @@ pub fn run_partition1(g: &Graph, root: NodeId, k: usize) -> (Vec<Partition1Node>
         })
         .collect();
     let budget = Timetable::new(k, 48).end + 16;
-    kdom_congest::run_protocol(g, nodes, budget).expect("partition1 quiesces")
+    kdom_congest::run_protocol(g, nodes, budget, kdom_congest::EngineConfig::default())
+        .expect("partition1 quiesces")
 }
 
 #[cfg(test)]

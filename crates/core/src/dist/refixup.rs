@@ -46,11 +46,11 @@
 use std::collections::HashMap;
 
 use kdom_congest::faults::{apply_churn, ChurnError, ChurnEvent, ChurnRemap};
-use kdom_congest::{EngineConfig, FaultPlan, Port};
+use kdom_congest::{FaultPlan, Port};
 use kdom_graph::{Graph, GraphBuilder, NodeId};
 
 use crate::dist::executor::Executor;
-use crate::dist::fragments::{forest_from_parents, run_simple_mst_configured, DistFragments};
+use crate::dist::fragments::{forest_from_parents, run_simple_mst, DistFragments};
 use crate::fragments::{simple_mst_forest, Fragments};
 
 /// Outcome of one fragment re-fixup.
@@ -158,8 +158,7 @@ fn matches_oracle(cand: &DistFragments, oracle: &Fragments) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if a protocol run fails to quiesce (as
-/// [`run_simple_mst_configured`]).
+/// Panics if a protocol run fails to quiesce (as [`run_simple_mst`]).
 #[allow(clippy::too_many_arguments)]
 pub fn refixup_fragments(
     old_g: &Graph,
@@ -169,7 +168,6 @@ pub fn refixup_fragments(
     events: &[ChurnEvent],
     k: usize,
     exec: &Executor,
-    config: EngineConfig,
     epoch: u64,
 ) -> FragRefixup {
     let n = new_g.node_count();
@@ -178,7 +176,7 @@ pub fn refixup_fragments(
     let full = |why_full: bool| -> FragRefixup {
         kdom_congest::trace::emit_refixup(epoch, n, n, true);
         FragRefixup {
-            fragments: run_simple_mst_configured(new_g, k, exec, config),
+            fragments: run_simple_mst(new_g, k, exec),
             scope: n,
             full_restart: why_full,
         }
@@ -225,7 +223,7 @@ pub fn refixup_fragments(
             }
         }
         let sub = b.build();
-        let local = run_simple_mst_configured(&sub, k, exec, config);
+        let local = run_simple_mst(&sub, k, exec);
         local_report = local.report.clone();
         for (si, &v) in wired.iter().enumerate() {
             if let Some(p) = local.parents[si] {
@@ -362,12 +360,11 @@ pub fn run_fragment_epochs(
     plan: &FaultPlan,
     k: usize,
     exec: &Executor,
-    config: EngineConfig,
 ) -> Result<Vec<FragmentEpochOutcome>, ChurnError> {
     let mut out = Vec::with_capacity(plan.epochs.len() + 1);
     out.push(FragmentEpochOutcome {
         graph: g.clone(),
-        fragments: run_simple_mst_configured(g, k, exec, config),
+        fragments: run_simple_mst(g, k, exec),
         scope: g.node_count(),
         full_restart: true,
     });
@@ -385,7 +382,6 @@ pub fn run_fragment_epochs(
             &ep.events,
             k,
             exec,
-            config,
             i as u64,
         );
         out.push(FragmentEpochOutcome {
@@ -437,9 +433,8 @@ mod tests {
     fn incremental_matches_full_restart_on_weight_change() {
         let g = Family::Gnp.generate(60, 3);
         let k = 3;
-        let exec = Executor::Sync;
-        let cfg = EngineConfig::default();
-        let old = run_simple_mst_configured(&g, k, &exec, cfg);
+        let exec = Executor::default();
+        let old = run_simple_mst(&g, k, &exec);
         // a *disruptive* change: the lightest edge becomes the heaviest,
         // so merge decisions genuinely differ and the certificate (or
         // the fallback) has to earn its keep
@@ -451,8 +446,8 @@ mod tests {
             weight: max_w + 1,
         }];
         let (new_g, remap) = apply_churn(&g, &events).unwrap();
-        let fix = refixup_fragments(&g, &old, &new_g, &remap, &events, k, &exec, cfg, 0);
-        let full = run_simple_mst_configured(&new_g, k, &exec, cfg);
+        let fix = refixup_fragments(&g, &old, &new_g, &remap, &events, k, &exec, 0);
+        let full = run_simple_mst(&new_g, k, &exec);
         assert_eq!(canonical(&fix.fragments), canonical(&full));
         assert!(fix.scope <= new_g.node_count());
     }
@@ -461,9 +456,8 @@ mod tests {
     fn incremental_matches_full_restart_on_node_leave() {
         let g = Family::Grid.generate(49, 5);
         let k = 2;
-        let exec = Executor::Sync;
-        let cfg = EngineConfig::default();
-        let old = run_simple_mst_configured(&g, k, &exec, cfg);
+        let exec = Executor::default();
+        let old = run_simple_mst(&g, k, &exec);
         // remove an interior node (grid stays connected)
         let v = g
             .nodes()
@@ -476,8 +470,8 @@ mod tests {
             .unwrap();
         let events = vec![ChurnEvent::NodeLeave { id: g.id_of(v) }];
         let (new_g, remap) = apply_churn(&g, &events).unwrap();
-        let fix = refixup_fragments(&g, &old, &new_g, &remap, &events, k, &exec, cfg, 0);
-        let full = run_simple_mst_configured(&new_g, k, &exec, cfg);
+        let fix = refixup_fragments(&g, &old, &new_g, &remap, &events, k, &exec, 0);
+        let full = run_simple_mst(&new_g, k, &exec);
         assert_eq!(canonical(&fix.fragments), canonical(&full));
     }
 
@@ -487,16 +481,15 @@ mod tests {
         // weight change must not re-run the whole world.
         let g = Family::Path.generate(120, 7);
         let k = 1;
-        let exec = Executor::Sync;
-        let cfg = EngineConfig::default();
-        let old = run_simple_mst_configured(&g, k, &exec, cfg);
+        let exec = Executor::default();
+        let old = run_simple_mst(&g, k, &exec);
         assert!(
             old.roots.len() >= 10,
             "path should split into many fragments"
         );
         let events = weight_change_epoch(&g);
         let (new_g, remap) = apply_churn(&g, &events).unwrap();
-        let fix = refixup_fragments(&g, &old, &new_g, &remap, &events, k, &exec, cfg, 0);
+        let fix = refixup_fragments(&g, &old, &new_g, &remap, &events, k, &exec, 0);
         assert!(
             !fix.full_restart && fix.scope < new_g.node_count() / 2,
             "scope {} of {} (full_restart = {})",
@@ -504,7 +497,7 @@ mod tests {
             new_g.node_count(),
             fix.full_restart
         );
-        let full = run_simple_mst_configured(&new_g, k, &exec, cfg);
+        let full = run_simple_mst(&new_g, k, &exec);
         assert_eq!(canonical(&fix.fragments), canonical(&full));
     }
 
@@ -532,8 +525,7 @@ mod tests {
                     ],
                 }],
             );
-        let out =
-            run_fragment_epochs(&g, &plan, 3, &Executor::Sync, EngineConfig::default()).unwrap();
+        let out = run_fragment_epochs(&g, &plan, 3, &Executor::default()).unwrap();
         assert_eq!(out.len(), 3);
         for o in &out {
             // every epoch's output verifies against the oracle

@@ -250,7 +250,8 @@ mod tests {
                 })
             })
             .collect();
-        kdom_congest::run_protocol(g, nodes, 10 * g.node_count() as u64 + 64)
+        let budget = 10 * g.node_count() as u64 + 64;
+        kdom_congest::run_protocol(g, nodes, budget, kdom_congest::EngineConfig::default())
             .expect("distributed DP quiesces")
     }
 

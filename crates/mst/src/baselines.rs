@@ -13,6 +13,8 @@
 //!   the red rule alone gives an `O(n + Diam)` MST, isolating the value
 //!   of the `FastDOM` contraction stage.
 
+use kdom_congest::EngineConfig;
+use kdom_core::dist::executor::Executor;
 use kdom_core::dist::fragments::run_simple_mst;
 use kdom_graph::{EdgeId, Graph, NodeId};
 
@@ -32,7 +34,7 @@ pub struct BaselineRun {
 /// Awerbuch-style phase-doubling MST: `O(n)` rounds, measured.
 pub fn phase_doubling_mst(g: &Graph) -> BaselineRun {
     let n = g.node_count();
-    let fragments = run_simple_mst(g, n.saturating_sub(1).max(1));
+    let fragments = run_simple_mst(g, n.saturating_sub(1).max(1), &Executor::default());
     assert_eq!(
         fragments.roots.len(),
         1,
@@ -45,19 +47,23 @@ pub fn phase_doubling_mst(g: &Graph) -> BaselineRun {
     }
 }
 
-fn singleton_clusters(g: &Graph) -> Vec<u64> {
-    g.nodes().map(|v| g.id_of(v)).collect()
-}
-
 fn map_weights(g: &Graph, weights: &[u64]) -> Vec<EdgeId> {
     let w2e: std::collections::HashMap<u64, EdgeId> =
         g.edges().iter().map(|e| (e.weight, e.id)).collect();
     weights.iter().map(|w| w2e[w]).collect()
 }
 
-/// Collect-everything-at-root MST: `O(m + Diam)` rounds, measured.
-pub fn collect_all_mst(g: &Graph) -> BaselineRun {
-    let run = run_pipeline(g, NodeId(0), &singleton_clusters(g), false, false);
+/// BFS + `Pipeline` from node 0 with singleton clusters, measured.
+fn singleton_pipeline(g: &Graph, eliminate: bool) -> BaselineRun {
+    let clusters: Vec<u64> = g.nodes().map(|v| g.id_of(v)).collect();
+    let run = run_pipeline(
+        g,
+        NodeId(0),
+        &clusters,
+        eliminate,
+        false,
+        EngineConfig::default(),
+    );
     BaselineRun {
         mst_edges: map_weights(g, &run.mst_weights),
         rounds: run.bfs_report.rounds + run.report.rounds,
@@ -65,15 +71,15 @@ pub fn collect_all_mst(g: &Graph) -> BaselineRun {
     }
 }
 
+/// Collect-everything-at-root MST: `O(m + Diam)` rounds, measured.
+pub fn collect_all_mst(g: &Graph) -> BaselineRun {
+    singleton_pipeline(g, false)
+}
+
 /// Pipeline-only MST (singleton clusters, red rule on): `O(n + Diam)`
 /// rounds, measured.
 pub fn pipeline_only_mst(g: &Graph) -> BaselineRun {
-    let run = run_pipeline(g, NodeId(0), &singleton_clusters(g), true, false);
-    BaselineRun {
-        mst_edges: map_weights(g, &run.mst_weights),
-        rounds: run.bfs_report.rounds + run.report.rounds,
-        messages: run.bfs_report.messages + run.report.messages,
-    }
+    singleton_pipeline(g, true)
 }
 
 #[cfg(test)]

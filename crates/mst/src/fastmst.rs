@@ -16,8 +16,9 @@
 //! stage of `FastDOM_G` is not needed for the MST itself and is skipped
 //! here.
 
-use kdom_congest::RunReport;
+use kdom_congest::{EngineConfig, RunReport};
 use kdom_core::cluster::Charge;
+use kdom_core::dist::executor::Executor;
 use kdom_core::dist::fragments::{run_simple_mst, DistFragments};
 use kdom_core::partition::dom_partition;
 use kdom_graph::{EdgeId, Graph, NodeId};
@@ -70,20 +71,21 @@ pub fn default_k(n: usize) -> usize {
 ///
 /// Panics if the graph is disconnected or has fewer than 2 nodes.
 pub fn fast_mst_with_k(g: &Graph, k: usize) -> FastMstRun {
-    fast_mst_from_root(g, k, NodeId(0))
+    fast_mst_from_root(g, k, NodeId(0), EngineConfig::default())
 }
 
 /// Runs `Fast-MST` from an explicit BFS root (see [`fast_mst_elected`]
-/// for the root-free composition).
+/// for the root-free composition), every measured stage on the
+/// synchronous engine under `config`.
 ///
 /// # Panics
 ///
 /// Panics if the graph is disconnected or has fewer than 2 nodes.
-pub fn fast_mst_from_root(g: &Graph, k: usize, root: NodeId) -> FastMstRun {
+pub fn fast_mst_from_root(g: &Graph, k: usize, root: NodeId, config: EngineConfig) -> FastMstRun {
     assert!(g.node_count() >= 2, "MST needs at least two nodes");
 
     // Stage 1: SimpleMST fragments (measured).
-    let fragments: DistFragments = run_simple_mst(g, k);
+    let fragments: DistFragments = run_simple_mst(g, k, &Executor::Sync(config));
 
     // Stage 2: DOMPartition(k) per fragment (charged; parallel => max).
     let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); fragments.roots.len()];
@@ -115,7 +117,7 @@ pub fn fast_mst_from_root(g: &Graph, k: usize, root: NodeId) -> FastMstRun {
     kdom_congest::trace::emit_charge(partition_charge.rounds);
 
     // Stage 3: BFS + Pipeline (measured).
-    let run: PipelineRun = run_pipeline(g, root, &cluster_of, true, false);
+    let run: PipelineRun = run_pipeline(g, root, &cluster_of, true, false, config);
 
     // Final MST: fragment-internal edges + selected inter-cluster edges.
     let weight_to_edge: std::collections::HashMap<u64, EdgeId> =
@@ -153,7 +155,12 @@ pub fn fast_mst(g: &Graph) -> FastMstRun {
 /// composition from the elected leader.
 pub fn fast_mst_elected(g: &Graph) -> FastMstRun {
     let (leader, election_report) = kdom_core::dist::election::elect_leader(g);
-    let mut run = fast_mst_from_root(g, default_k(g.node_count()), leader);
+    let mut run = fast_mst_from_root(
+        g,
+        default_k(g.node_count()),
+        leader,
+        EngineConfig::default(),
+    );
     run.bfs_rounds += election_report.rounds;
     run
 }

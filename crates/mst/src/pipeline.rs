@@ -27,10 +27,11 @@
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use kdom_congest::wire::{BitReader, BitWriter, Wire, WireError};
-use kdom_congest::{Message, NodeCtx, Outbox, Port, Protocol, RunReport, Wake};
+use kdom_congest::{EngineConfig, Message, NodeCtx, Outbox, Port, Protocol, RunReport, Wake};
 use kdom_graph::{Graph, NodeId};
 
 use kdom_core::dist::bfs::run_bfs;
+use kdom_core::dist::executor::Executor;
 
 /// An inter-cluster edge description: weight plus both endpoint cluster
 /// ids — the `O(log n)`-bit unit the convergecast forwards.
@@ -452,7 +453,8 @@ pub struct PipelineRun {
 }
 
 /// Runs BFS from `root` and then `Pipeline` over it, with `cluster[v]`
-/// giving each node's cluster id.
+/// giving each node's cluster id, both on the synchronous engine under
+/// `config`.
 ///
 /// # Panics
 ///
@@ -463,8 +465,10 @@ pub fn run_pipeline(
     cluster: &[u64],
     eliminate: bool,
     barrier: bool,
+    config: EngineConfig,
 ) -> PipelineRun {
-    let (bfs, bfs_report) = run_bfs(g, root);
+    let (bfs, bfs_report) = run_bfs(g, root, &Executor::Sync(config))
+        .expect("BFS quiesces within O(n) rounds on a connected graph");
     let nodes: Vec<PipelineNode> = bfs
         .iter()
         .enumerate()
@@ -483,7 +487,8 @@ pub fn run_pipeline(
     let budget =
         40 * (n64 + g.edge_count() as u64) + 1000 + if barrier { 4 * n64 * n64 } else { 0 };
     kdom_congest::trace::emit_phase("Pipeline");
-    let (nodes, report) = kdom_congest::run_protocol(g, nodes, budget).expect("pipeline quiesces");
+    let (nodes, report) =
+        kdom_congest::run_protocol(g, nodes, budget, config).expect("pipeline quiesces");
     let root_node = &nodes[root.0];
     PipelineRun {
         mst_weights: root_node.result.clone().expect("root computed the MST"),
@@ -508,6 +513,18 @@ mod tests {
         g.nodes().map(|v| g.id_of(v)).collect()
     }
 
+    /// [`run_pipeline`] from node 0 on the default engine.
+    fn pipeline(g: &Graph, cluster: &[u64], eliminate: bool, barrier: bool) -> PipelineRun {
+        run_pipeline(
+            g,
+            NodeId(0),
+            cluster,
+            eliminate,
+            barrier,
+            EngineConfig::default(),
+        )
+    }
+
     fn expect_mst_weights(g: &Graph) -> Vec<u64> {
         let mut w: Vec<u64> = kruskal(g).iter().map(|&e| g.edge(e).weight).collect();
         w.sort_unstable();
@@ -518,7 +535,7 @@ mod tests {
     fn pipeline_computes_mst_with_singletons() {
         for fam in Family::ALL {
             let g = fam.generate(40, 7);
-            let run = run_pipeline(&g, NodeId(0), &singleton_clusters(&g), true, false);
+            let run = pipeline(&g, &singleton_clusters(&g), true, false);
             let mut got = run.mst_weights.clone();
             got.sort_unstable();
             assert_eq!(got, expect_mst_weights(&g), "{fam}");
@@ -531,7 +548,7 @@ mod tests {
     fn pipeline_is_fully_pipelined_on_many_graphs() {
         for seed in 0..12u64 {
             let g = gnp_connected(&GenConfig::with_seed(70, seed), 0.08);
-            let run = run_pipeline(&g, NodeId(0), &singleton_clusters(&g), true, false);
+            let run = pipeline(&g, &singleton_clusters(&g), true, false);
             assert_eq!(run.stalls, 0, "seed {seed}");
             assert_eq!(run.order_violations, 0, "seed {seed}");
             let mut got = run.mst_weights.clone();
@@ -544,7 +561,7 @@ mod tests {
     fn collect_rounds_bounded_by_n_plus_diam() {
         // Lemma 5.5: O(N + Diam); with singleton clusters N = n.
         let g = Family::Grid.generate(100, 3);
-        let run = run_pipeline(&g, NodeId(0), &singleton_clusters(&g), true, false);
+        let run = pipeline(&g, &singleton_clusters(&g), true, false);
         let bound = g.node_count() as u64 + 2 * u64::from(diameter(&g)) + 16;
         assert!(
             run.collect_rounds <= bound,
@@ -556,8 +573,8 @@ mod tests {
     #[test]
     fn barrier_variant_is_slower_but_correct() {
         let g = Family::BalancedBinary.generate(127, 2);
-        let fast = run_pipeline(&g, NodeId(0), &singleton_clusters(&g), true, false);
-        let slow = run_pipeline(&g, NodeId(0), &singleton_clusters(&g), true, true);
+        let fast = pipeline(&g, &singleton_clusters(&g), true, false);
+        let slow = pipeline(&g, &singleton_clusters(&g), true, true);
         let mut a = fast.mst_weights.clone();
         let mut b = slow.mst_weights.clone();
         a.sort_unstable();
@@ -574,8 +591,8 @@ mod tests {
     #[test]
     fn no_elimination_still_correct_but_heavier() {
         let g = gnp_connected(&GenConfig::with_seed(50, 9), 0.2);
-        let with = run_pipeline(&g, NodeId(0), &singleton_clusters(&g), true, false);
-        let without = run_pipeline(&g, NodeId(0), &singleton_clusters(&g), false, false);
+        let with = pipeline(&g, &singleton_clusters(&g), true, false);
+        let without = pipeline(&g, &singleton_clusters(&g), false, false);
         let mut a = with.mst_weights.clone();
         let mut b = without.mst_weights.clone();
         a.sort_unstable();
@@ -589,7 +606,7 @@ mod tests {
         // path of 6 in 3 clusters of 2: the cluster MST has 2 edges
         let g = Family::Path.generate(6, 1);
         let cluster = vec![10, 10, 20, 20, 30, 30];
-        let run = run_pipeline(&g, NodeId(0), &cluster, true, false);
+        let run = pipeline(&g, &cluster, true, false);
         assert_eq!(run.mst_weights.len(), 2);
         assert_eq!(run.stalls, 0);
         // the two inter-cluster edges are path edges 1-2 and 3-4
@@ -605,7 +622,7 @@ mod tests {
     #[test]
     fn single_cluster_yields_empty_mst() {
         let g = Family::Path.generate(5, 0);
-        let run = run_pipeline(&g, NodeId(0), &[7; 5], true, false);
+        let run = pipeline(&g, &[7; 5], true, false);
         assert!(run.mst_weights.is_empty());
     }
 }

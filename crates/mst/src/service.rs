@@ -13,12 +13,12 @@ use std::sync::Arc;
 
 use kdom_congest::jobs::{Algo, JobOutput, RunSpec, Runner};
 use kdom_congest::SimError;
-use kdom_core::dist::bfs::BfsNode;
+use kdom_core::dist::bfs::run_bfs;
 use kdom_core::dist::executor::Executor;
-use kdom_core::dist::fastdom::fast_dom_g_distributed_configured;
-use kdom_core::dist::fragments::run_simple_mst_configured;
+use kdom_core::dist::fastdom::fast_dom_g_distributed;
+use kdom_core::dist::fragments::run_simple_mst;
 use kdom_core::fastdom::WithinCluster;
-use kdom_graph::Graph;
+use kdom_graph::{Graph, NodeId};
 
 /// The `k` a spec resolves to on `g`: the spec's own `k` when nonzero,
 /// the paper's default `k(n) = ⌈√n⌉` ([`crate::fastmst::default_k`])
@@ -53,11 +53,10 @@ pub fn resolve_k(spec: &RunSpec, g: &Graph) -> usize {
 /// converts into a failed job.
 pub fn run(g: &Graph, spec: &RunSpec) -> Result<JobOutput, SimError> {
     let exec = Executor::from(spec);
-    let config = spec.engine_config();
     let k = resolve_k(spec, g);
     match spec.algo {
         Algo::SimpleMst => {
-            let frags = run_simple_mst_configured(g, k, &exec, config);
+            let frags = run_simple_mst(g, k, &exec);
             let outputs = frags
                 .parents
                 .iter()
@@ -70,8 +69,7 @@ pub fn run(g: &Graph, spec: &RunSpec) -> Result<JobOutput, SimError> {
             })
         }
         Algo::FastDomG => {
-            let (dom, report) =
-                fast_dom_g_distributed_configured(g, k, WithinCluster::OptimalDp, &exec, config);
+            let (dom, report) = fast_dom_g_distributed(g, k, WithinCluster::OptimalDp, &exec);
             let outputs = g
                 .nodes()
                 .map(|v| g.id_of(dom.clustering.center(dom.clustering.cluster_of(v))))
@@ -83,9 +81,7 @@ pub fn run(g: &Graph, spec: &RunSpec) -> Result<JobOutput, SimError> {
             })
         }
         Algo::Bfs => {
-            let nodes = (0..g.node_count()).map(|v| BfsNode::new(v == 0)).collect();
-            let budget = exec.watchdog_budget(4 * g.node_count() as u64 + 16);
-            let (nodes, report) = exec.run_phase_configured("BFS", g, nodes, budget, config)?;
+            let (nodes, report) = run_bfs(g, NodeId(0), &exec)?;
             let outputs = nodes
                 .iter()
                 .map(|n| n.parent.map_or(0, |p| p.0 as u64 + 1))
@@ -110,7 +106,6 @@ mod tests {
     use kdom_congest::jobs::ExecSpec;
     use kdom_core::verify::check_k_dominating;
     use kdom_graph::generators::Family;
-    use kdom_graph::NodeId;
 
     #[test]
     fn dispatch_covers_every_algorithm() {

@@ -10,6 +10,7 @@
 //! ```
 
 use kdom::congest::run_protocol_alpha;
+use kdom::core::dist::executor::Executor;
 use kdom::core::dist::fragments::{run_simple_mst, FragmentNode};
 use kdom::graph::generators::Family;
 
@@ -23,7 +24,7 @@ fn main() {
     );
 
     // Synchronous run.
-    let sync = run_simple_mst(&g, k);
+    let sync = run_simple_mst(&g, k, &Executor::default());
     println!(
         "synchronous:  {} rounds, {} messages, {} fragments",
         sync.report.rounds,

@@ -13,10 +13,10 @@
 //! cargo run --release --example lossy_recovery
 //! ```
 
-use kdom::congest::{run_protocol, run_protocol_alpha_reliable, FaultPlan, SimError};
+use kdom::congest::{run_protocol, run_protocol_alpha_reliable, EngineConfig, FaultPlan, SimError};
 use kdom::core::dist::bfs::BfsNode;
 use kdom::core::dist::executor::Executor;
-use kdom::core::dist::fastdom::fast_dom_g_distributed_on;
+use kdom::core::dist::fastdom::fast_dom_g_distributed;
 use kdom::core::fastdom::WithinCluster;
 use kdom::graph::generators::Family;
 use kdom::graph::NodeId;
@@ -31,7 +31,7 @@ fn main() {
     );
 
     // Baseline: the paper's model — reliable, synchronous.
-    let sync = fast_dom_g_distributed_on(&g, k, WithinCluster::OptimalDp, &Executor::Sync);
+    let (sync, _) = fast_dom_g_distributed(&g, k, WithinCluster::OptimalDp, &Executor::default());
     println!(
         "reliable sync:       {:>3} dominators (bound n/(k+1) = {})",
         sync.dominators().len(),
@@ -50,7 +50,7 @@ fn main() {
             max_delay: 2,
             plan,
         };
-        let lossy = fast_dom_g_distributed_on(&g, k, WithinCluster::OptimalDp, &exec);
+        let (lossy, _) = fast_dom_g_distributed(&g, k, WithinCluster::OptimalDp, &exec);
         assert_eq!(
             lossy.dominators(),
             sync.dominators(),
@@ -91,7 +91,7 @@ fn main() {
     let nodes: Vec<BfsNode> = (0..g.node_count())
         .map(|v| BfsNode::new(v == root.0))
         .collect();
-    match run_protocol(&g, nodes, 2) {
+    match run_protocol(&g, nodes, 2, EngineConfig::default()) {
         Err(SimError::RoundLimitExceeded { limit, stall }) => {
             println!("\nbudget of {limit} rounds exhausted; watchdog says:");
             println!("  {}", SimError::RoundLimitExceeded { limit, stall });

@@ -193,10 +193,8 @@ fn coord_opts(args: &Args, graph: &Graph, k: usize) -> Result<CoordOpts, String>
     let timeout_ms: u64 = args.parsed("timeout-ms", net_timeout().as_millis() as u64)?;
     Ok(CoordOpts {
         shards,
-        // the engine subset of the RunSpec knob dialect; the full
-        // RunSpec::from_env would reject a stray KDOM_TRANSPORT socket
-        // endpoint by pointing at this very binary, and the transport
-        // here is chosen by --listen/--connect flags, not the knob
+        // the engine knobs are this binary's deployment setting; the
+        // transport is chosen by --listen/--connect flags
         config: EngineConfig::from_env(),
         plan: None,
         max_rounds,

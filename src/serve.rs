@@ -174,7 +174,8 @@ fn parse_bool(key: &str, v: &str) -> Result<bool, String> {
 /// silently fall back to a default and then get *cached* under the
 /// wrong content address. Values are held to the bounds the env knobs
 /// and the executors enforce, so a client cannot request what the
-/// library would refuse.
+/// library would refuse. A nonzero `fdrop`, `fdup` or `fdelay` needs
+/// `exec=alpha:D`: the sync executor runs fault-free.
 ///
 /// # Errors
 ///
@@ -216,6 +217,16 @@ pub fn spec_from_tokens<'a>(tokens: impl Iterator<Item = &'a str>) -> Result<Run
             "fdup" => fdup = u64::from_str_radix(v, 16).map_err(|e| format!("fdup={v:?}: {e}"))?,
             "fdelay" => fdelay = parse_num(key, v)?,
             _ => return Err(format!("unknown spec token {key:?}")),
+        }
+    }
+    if spec.exec == ExecSpec::Sync {
+        // the sync executor runs fault-free: a plan it would drop must
+        // not reach the cache key
+        let faults = [("fdrop", fdrop), ("fdup", fdup), ("fdelay", fdelay)];
+        if let Some((key, _)) = faults.iter().find(|(_, v)| *v != 0) {
+            return Err(format!(
+                "{key} needs exec=alpha:D: exec=sync runs fault-free"
+            ));
         }
     }
     spec.faults = FaultPlan::new(fseed)
@@ -1056,20 +1067,29 @@ mod tests {
     fn out_of_range_spec_tokens_are_rejected_naming_the_token() {
         let one = format!("{:016x}", 1.0f64.to_bits());
         let nan = format!("{:016x}", f64::NAN.to_bits());
+        let quarter = format!("{:016x}", 0.25f64.to_bits());
         let cases = [
-            ("threads=0".to_string(), "threads"),
-            ("threads=257".to_string(), "threads"),
-            ("dense=301".to_string(), "dense"),
-            ("shard=0".to_string(), "shard"),
-            ("exec=alpha:0".to_string(), "exec"),
-            (format!("fdrop={one}"), "fdrop"),
-            (format!("fdup={nan}"), "fdup"),
+            ("exec=sync", "threads=0".to_string(), "threads"),
+            ("exec=sync", "threads=257".to_string(), "threads"),
+            ("exec=sync", "dense=301".to_string(), "dense"),
+            ("exec=sync", "shard=0".to_string(), "shard"),
+            ("exec=sync", "exec=alpha:0".to_string(), "exec"),
+            ("exec=alpha:2", format!("fdrop={one}"), "fdrop"),
+            ("exec=alpha:2", format!("fdup={nan}"), "fdup"),
+            // the sync executor would silently drop a fault plan
+            ("exec=sync", format!("fdrop={quarter}"), "fdrop"),
+            ("exec=sync", format!("fdup={quarter}"), "fdup"),
+            ("exec=sync", "fdelay=2".to_string(), "fdelay"),
         ];
-        for (token, key) in &cases {
-            let err = spec_from_tokens(["algo=bfs", token.as_str()].into_iter())
+        for (exec, token, key) in &cases {
+            let err = spec_from_tokens(["algo=bfs", exec, token.as_str()].into_iter())
                 .expect_err("out-of-range token must be refused");
-            assert!(err.starts_with(key), "{token}: {err}");
+            assert!(err.starts_with(key), "{exec} {token}: {err}");
         }
+        let err = spec_from_tokens(["exec=sync", "fdelay=2"].into_iter()).expect_err("sync");
+        assert!(err.contains("exec=alpha:D"), "{err}");
+        spec_from_tokens(["exec=sync", "fseed=9"].into_iter())
+            .expect("a fault seed alone is inert");
         let spec = spec_from_tokens(["threads=256", "dense=300", "shard=1"].into_iter())
             .expect("the bounds themselves are accepted");
         assert_eq!(

@@ -5,6 +5,7 @@
 use kdom::congest::run_protocol_alpha;
 use kdom::core::dist::bfs::BfsNode;
 use kdom::core::dist::election::ElectionNode;
+use kdom::core::dist::executor::Executor;
 use kdom::core::dist::fragments::{run_simple_mst, FragmentNode};
 use kdom::graph::generators::gnp_connected;
 use kdom::graph::generators::{Family, GenConfig};
@@ -42,7 +43,7 @@ fn simple_mst_under_alpha_matches_synchronous() {
     // a synchronizer. The α execution must select the same MST edges.
     let g = gnp_connected(&GenConfig::with_seed(40, 9), 0.15);
     let k = 5;
-    let sync = run_simple_mst(&g, k);
+    let sync = run_simple_mst(&g, k, &Executor::default());
     let nodes: Vec<FragmentNode> = g
         .nodes()
         .map(|v| FragmentNode::new(k, g.id_of(v)))

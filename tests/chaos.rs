@@ -24,7 +24,7 @@ use kdom::congest::{
     ChurnEvent, EngineConfig, EventMix, FaultPlan,
 };
 use kdom::core::dist::executor::Executor;
-use kdom::core::dist::fragments::{run_simple_mst_configured, DistFragments};
+use kdom::core::dist::fragments::{run_simple_mst, DistFragments};
 use kdom::core::dist::partition1::run_partition1;
 use kdom::core::dist::refixup::{refixup_partition1, run_fragment_epochs, FragmentEpochOutcome};
 use kdom::core::fastdom::clusters_to_clustering;
@@ -86,18 +86,16 @@ fn transient_only(plan: &FaultPlan) -> FaultPlan {
     }
 }
 
-/// One leg of the sweep: a labelled executor + engine config.
-fn legs(sched: &ChaosSchedule) -> Vec<(&'static str, Executor, EngineConfig)> {
+/// One leg of the sweep: a labelled executor.
+fn legs(sched: &ChaosSchedule) -> Vec<(&'static str, Executor)> {
     vec![
         (
             "sync-t1",
-            Executor::Sync,
-            EngineConfig::default().with_threads(1),
+            Executor::Sync(EngineConfig::default().with_threads(1)),
         ),
         (
             "sync-t4",
-            Executor::Sync,
-            EngineConfig::default().with_threads(4),
+            Executor::Sync(EngineConfig::default().with_threads(4)),
         ),
         (
             "alpha",
@@ -106,7 +104,6 @@ fn legs(sched: &ChaosSchedule) -> Vec<(&'static str, Executor, EngineConfig)> {
                 max_delay: 2,
                 plan: FaultPlan::new(sched.seed), // fault-free α
             },
-            EngineConfig::default(),
         ),
         (
             "reliable-alpha",
@@ -115,7 +112,6 @@ fn legs(sched: &ChaosSchedule) -> Vec<(&'static str, Executor, EngineConfig)> {
                 max_delay: 2,
                 plan: transient_only(&sched.plan),
             },
-            EngineConfig::default(),
         ),
     ]
 }
@@ -125,11 +121,10 @@ fn legs(sched: &ChaosSchedule) -> Vec<(&'static str, Executor, EngineConfig)> {
 fn run_and_check(base: &Graph, sched: &ChaosSchedule, k: usize) -> Vec<FragmentEpochOutcome> {
     let all: Vec<(&str, Vec<FragmentEpochOutcome>)> = legs(sched)
         .into_iter()
-        .map(|(label, exec, config)| {
-            let outcomes =
-                run_fragment_epochs(base, &sched.plan, k, &exec, config).unwrap_or_else(|e| {
-                    panic!("seed {} {label}: schedule does not apply: {e}", sched.seed)
-                });
+        .map(|(label, exec)| {
+            let outcomes = run_fragment_epochs(base, &sched.plan, k, &exec).unwrap_or_else(|e| {
+                panic!("seed {} {label}: schedule does not apply: {e}", sched.seed)
+            });
             (label, outcomes)
         })
         .collect();
@@ -223,15 +218,14 @@ fn incremental_refixup_matches_full_restart() {
     };
     let base = Family::Grid.generate(36, 11);
     let k = 2;
-    let exec = Executor::Sync;
-    let config = EngineConfig::default().with_threads(1);
+    let exec = Executor::Sync(EngineConfig::default().with_threads(1));
     let mut compared = 0usize;
     for i in 0..cfg.schedules as u64 {
         let sched = gen_schedule(&base, &cfg, cfg.seed ^ (i << 8));
-        let outcomes = run_fragment_epochs(&base, &sched.plan, k, &exec, config)
+        let outcomes = run_fragment_epochs(&base, &sched.plan, k, &exec)
             .expect("generated schedules apply by construction");
         for (e, o) in outcomes.iter().enumerate().skip(1) {
-            let full = run_simple_mst_configured(&o.graph, k, &exec, config);
+            let full = run_simple_mst(&o.graph, k, &exec);
             assert_eq!(
                 canonical(&o.fragments),
                 canonical(&full),

@@ -2,7 +2,7 @@
 //! the cluster engine charges must match what the per-node protocols
 //! actually take where both exist.
 
-use kdom::congest::Port;
+use kdom::congest::{EngineConfig, Port};
 use kdom::core::cluster::{ClusterEngine, ClusterState};
 use kdom::core::dist::coloring::{BalancedConfig, BalancedNode};
 use kdom::graph::generators::{random_tree, GenConfig};
@@ -28,7 +28,8 @@ fn run_distributed_balanced(g: &Graph) -> u64 {
             })
         })
         .collect();
-    let (_, report) = kdom_congest::run_protocol(g, nodes, 10_000).expect("quiesces");
+    let (_, report) =
+        kdom_congest::run_protocol(g, nodes, 10_000, EngineConfig::default()).expect("quiesces");
     report.rounds
 }
 

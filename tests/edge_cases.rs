@@ -1,6 +1,6 @@
 //! Edge cases and failure-path behavior across the whole stack.
 
-use kdom::congest::{run_protocol_alpha, SimError};
+use kdom::congest::{run_protocol_alpha, EngineConfig, SimError};
 use kdom::core::dist::bfs::BfsNode;
 use kdom::core::dist::diamdom::run_diamdom;
 use kdom::core::dist::partition1::run_partition1;
@@ -16,7 +16,7 @@ use kdom::mst::pipeline::run_pipeline;
 #[test]
 fn pipeline_on_singleton_graph() {
     let g = GraphBuilder::new(1).build();
-    let run = run_pipeline(&g, NodeId(0), &[42], true, false);
+    let run = run_pipeline(&g, NodeId(0), &[42], true, false, EngineConfig::default());
     assert!(run.mst_weights.is_empty());
     assert_eq!(run.stalls, 0);
 }
@@ -26,7 +26,7 @@ fn pipeline_on_two_nodes() {
     let mut b = GraphBuilder::new(2);
     b.add_edge(NodeId(0), NodeId(1), 7);
     let g = b.build();
-    let run = run_pipeline(&g, NodeId(0), &[1, 2], true, false);
+    let run = run_pipeline(&g, NodeId(0), &[1, 2], true, false, EngineConfig::default());
     assert_eq!(run.mst_weights, vec![7]);
 }
 
@@ -75,7 +75,7 @@ fn fast_mst_on_new_topologies() {
 #[test]
 fn diamdom_on_new_topologies() {
     for g in [hypercube(5, 4), torus(4, 5, 5)] {
-        let run = run_diamdom(&g, NodeId(0), 2);
+        let run = run_diamdom(&g, NodeId(0), 2, EngineConfig::default());
         kdom::core::verify::check_k_dominating(&g, &run.dominators, 2).unwrap();
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end integration: the whole public API surface, exactly as a
 //! downstream user would drive it.
 
+use kdom::congest::EngineConfig;
 use kdom::core::fastdom::{fast_dom_g, fast_dom_t, WithinCluster};
 use kdom::core::verify::{check_fastdom_output, dominating_size_bound};
 use kdom::graph::generators::Family;
@@ -72,7 +73,14 @@ fn pipeline_handles_custom_clusterings() {
     // arbitrary 3-coloring as a (non-contiguous) clustering: pipeline
     // still computes the MST of the quotient multigraph
     let clusters: Vec<u64> = g.nodes().map(|v| (v.0 % 3) as u64).collect();
-    let run = run_pipeline(&g, NodeId(0), &clusters, true, false);
+    let run = run_pipeline(
+        &g,
+        NodeId(0),
+        &clusters,
+        true,
+        false,
+        EngineConfig::default(),
+    );
     assert_eq!(run.stalls, 0);
     assert_eq!(
         run.mst_weights.len(),

@@ -12,6 +12,7 @@
 //! (via Fast-MST), FastDOM_T/G, and Fast-MST.
 
 use kdom::congest::engine::run_reference_loop;
+use kdom::congest::jobs::{Algo, RunSpec};
 use kdom::congest::{
     run_protocol_alpha_reliable, EngineConfig, FaultPlan, Message, NodeCtx, Outbox, Port, Protocol,
     RunReport, Simulator, Wake,
@@ -20,13 +21,15 @@ use kdom::core::dist::bfs::BfsNode;
 use kdom::core::dist::coloring::{BalancedConfig, BalancedNode};
 use kdom::core::dist::diamdom::run_diamdom;
 use kdom::core::dist::election::ElectionNode;
+use kdom::core::dist::executor::Executor;
 use kdom::core::dist::fastdom::{fast_dom_g_distributed, fast_dom_t_distributed};
 use kdom::core::dist::fragments::{run_simple_mst, FragmentNode};
 use kdom::core::fastdom::WithinCluster;
 use kdom::graph::generators::{gnp_connected, path, Family, GenConfig};
 use kdom::graph::tree::RootedTree;
 use kdom::graph::{Graph, NodeId};
-use kdom::mst::fastmst::fast_mst;
+use kdom::mst::fastmst::{default_k, fast_mst, fast_mst_from_root};
+use kdom::mst::service;
 
 /// Every engine configuration the suite must agree across: every node
 /// stepped every round vs the active set, 1 vs 4 threads, fast-forward on
@@ -73,7 +76,7 @@ where
     let mut baseline: Option<(String, String, RunReport)> = None;
     for (name, cfg) in configs() {
         let mut sim = match plan {
-            Some(p) => Simulator::with_faults_config(g, make_nodes(g), p, cfg),
+            Some(p) => Simulator::with_faults(g, make_nodes(g), p, cfg),
             None => Simulator::with_config(g, make_nodes(g), cfg),
         };
         let outcome = format!("{:?}", sim.run(50_000));
@@ -501,7 +504,7 @@ fn fault_counter_parity_across_fast_forward() {
     assert_parity(&g, make, Some(&plan), "faulty countdown relay");
 
     // sanity: both loss paths and the duplicator really fired
-    let mut sim = Simulator::with_faults_config(&g, make(&g), &plan, EngineConfig::default());
+    let mut sim = Simulator::with_faults(&g, make(&g), &plan, EngineConfig::default());
     let _ = sim.run(50_000);
     let report = sim.report().clone();
     assert!(report.dropped_messages > 0, "no drops: {report:?}");
@@ -516,7 +519,11 @@ fn reliable_alpha_matches_sync() {
     let plan = FaultPlan::new(77).drop_prob(0.2);
 
     // BFS: depths must match the synchronous run (fast-forward on and off).
-    let mut sync = Simulator::new(&g, (0..130).map(|v| BfsNode::new(v == 0)).collect());
+    let mut sync = Simulator::with_config(
+        &g,
+        (0..130).map(|v| BfsNode::new(v == 0)).collect(),
+        EngineConfig::default(),
+    );
     sync.run(10_000).expect("sync BFS quiesces");
     let mut sync_noff = Simulator::with_config(
         &g,
@@ -549,7 +556,7 @@ fn reliable_alpha_matches_sync() {
 
     // SimpleMST: the fragment forest survives 20% loss byte-identically.
     let k = 4;
-    let want = run_simple_mst(&g, k);
+    let want = run_simple_mst(&g, k, &Executor::default());
     let nodes: Vec<FragmentNode> = g
         .nodes()
         .map(|v| FragmentNode::new(k, g.id_of(v)))
@@ -567,60 +574,84 @@ fn reliable_alpha_matches_sync() {
 }
 
 /// Composed runners (DiamDOM, FastDOM_T/G, Fast-MST with its Pipeline
-/// stage) read the engine configuration from the environment, so this is
-/// the one test that mutates `KDOM_THREADS`/`KDOM_DENSE_PCT`/
-/// `KDOM_FASTFWD` — everything else in the binary uses
-/// explicit configs, and Rust runs tests in one process, so only one
-/// env-touching test may exist. `KDOM_DENSE_PCT=0 KDOM_FASTFWD=0` steps
-/// every node every round.
+/// stage) agree across every engine configuration. They take their run
+/// context from the caller, so each leg hands them one of [`configs`];
+/// its `shard_min` of 32 makes the 4-thread legs shard these 140–150-node
+/// graphs.
 #[test]
-fn composed_runners_parity_under_env() {
-    let legs = [
-        ("1", "75", "1"),
-        ("4", "75", "1"),
-        ("1", "0", "0"),
-        ("4", "0", "0"),
-        ("1", "75", "0"),
-        ("4", "75", "0"),
-    ];
-    let mut baseline: Option<[String; 4]> = None;
-
+fn composed_runners_parity() {
     let gd = gnp_connected(&GenConfig::with_seed(150, 3), 0.05);
     let gt = Family::RandomTree.generate(150, 8);
     let gg = gnp_connected(&GenConfig::with_seed(140, 6), 0.06);
-
-    for (threads, dense, fastfwd) in legs {
-        std::env::set_var("KDOM_THREADS", threads);
-        std::env::set_var("KDOM_DENSE_PCT", dense);
-        std::env::set_var("KDOM_FASTFWD", fastfwd);
-        let diam = format!("{:?}", run_diamdom(&gd, NodeId(0), 3));
-        let dom_t = format!(
-            "{:?}",
-            fast_dom_t_distributed(&gt, 2, WithinCluster::OptimalDp)
-        );
-        let dom_g = format!(
-            "{:?}",
-            fast_dom_g_distributed(&gg, 3, WithinCluster::DiamDom)
-        );
-        let mst = format!("{:?}", fast_mst(&gg));
-        let got = [diam, dom_t, dom_g, mst];
+    let mut baseline: Option<[String; 4]> = None;
+    for (name, cfg) in configs() {
+        let exec = Executor::Sync(cfg);
+        let got = [
+            format!("{:?}", run_diamdom(&gd, NodeId(0), 3, cfg)),
+            format!(
+                "{:?}",
+                fast_dom_t_distributed(&gt, 2, WithinCluster::OptimalDp, &exec)
+            ),
+            format!(
+                "{:?}",
+                fast_dom_g_distributed(&gg, 3, WithinCluster::DiamDom, &exec)
+            ),
+            format!(
+                "{:?}",
+                fast_mst_from_root(&gg, default_k(gg.node_count()), NodeId(0), cfg)
+            ),
+        ];
         match &baseline {
             None => baseline = Some(got),
             Some(want) => {
-                for (i, name) in ["DiamDOM", "FastDOM_T", "FastDOM_G", "Fast-MST"]
+                for (i, runner) in ["DiamDOM", "FastDOM_T", "FastDOM_G", "Fast-MST"]
                     .iter()
                     .enumerate()
                 {
-                    assert_eq!(
-                        want[i], got[i],
-                        "{name} diverged at KDOM_THREADS={threads} \
-                         KDOM_DENSE_PCT={dense} KDOM_FASTFWD={fastfwd}"
-                    );
+                    assert_eq!(want[i], got[i], "{runner} diverged under {name}");
                 }
             }
         }
     }
-    std::env::remove_var("KDOM_THREADS");
-    std::env::remove_var("KDOM_DENSE_PCT");
-    std::env::remove_var("KDOM_FASTFWD");
+}
+
+/// Library runners take their engine configuration from the caller, so
+/// engine knobs in the environment change nothing — even values that
+/// [`EngineConfig::from_env`] rejects with a panic. This is the one test
+/// in the binary that writes the environment, and nothing else here reads
+/// these three knobs (the oracles read `KDOM_THREADS`, so it is left
+/// alone).
+#[test]
+fn library_runners_ignore_engine_knobs() {
+    const KNOBS: [(&str, &str); 3] = [
+        ("KDOM_DENSE_PCT", "bogus"),
+        ("KDOM_FASTFWD", "maybe"),
+        ("KDOM_SHARD_MIN", "0"),
+    ];
+    let g = gnp_connected(&GenConfig::with_seed(120, 21), 0.06);
+    let k = 3;
+    let run_all = || {
+        let mut out = vec![
+            format!("{:?}", fast_mst(&g)),
+            format!("{:?}", run_simple_mst(&g, k, &Executor::default())),
+            format!(
+                "{:?}",
+                fast_dom_g_distributed(&g, k, WithinCluster::OptimalDp, &Executor::default())
+            ),
+        ];
+        for algo in Algo::ALL {
+            let spec = RunSpec::default().with_algo(algo).with_k(k as u64);
+            out.push(format!("{:?}", service::run(&g, &spec)));
+        }
+        out
+    };
+    for (knob, value) in KNOBS {
+        std::env::set_var(knob, value);
+    }
+    let got = std::panic::catch_unwind(run_all);
+    for (knob, _) in KNOBS {
+        std::env::remove_var(knob);
+    }
+    let got = got.expect("a library runner read an engine knob");
+    assert_eq!(got, run_all(), "an engine knob changed a runner's output");
 }

@@ -11,17 +11,14 @@
 //! naming the stuck nodes, never a bare hang.
 
 use kdom::congest::{
-    run_protocol, run_protocol_alpha_reliable, AlphaReport, AlphaSimulator, FaultPlan, Message,
-    NodeCtx, Outbox, Protocol, ReliableConfig, SimError, Simulator,
+    run_protocol, run_protocol_alpha_reliable, AlphaReport, AlphaSimulator, EngineConfig,
+    FaultPlan, Message, NodeCtx, Outbox, Protocol, ReliableConfig, SimError, Simulator,
 };
 use kdom::core::dist::bfs::BfsNode;
 use kdom::core::dist::election::ElectionNode;
 use kdom::core::dist::executor::Executor;
-use kdom::core::dist::fastdom::{
-    fast_dom_g_distributed, fast_dom_g_distributed_on, fast_dom_t_distributed,
-    fast_dom_t_distributed_on,
-};
-use kdom::core::dist::fragments::{run_simple_mst, run_simple_mst_on};
+use kdom::core::dist::fastdom::{fast_dom_g_distributed, fast_dom_t_distributed};
+use kdom::core::dist::fragments::run_simple_mst;
 use kdom::core::fastdom::WithinCluster;
 use kdom::core::verify::check_fastdom_output;
 use kdom::graph::generators::Family;
@@ -89,8 +86,8 @@ fn simple_mst_survives_heavy_loss() {
             max_delay: 2,
             plan: FaultPlan::new(seed ^ 0xBEEF).drop_prob(0.25).dup_prob(0.05),
         };
-        let faulty = run_simple_mst_on(&g, k, &exec);
-        let clean = run_simple_mst(&g, k);
+        let faulty = run_simple_mst(&g, k, &exec);
+        let clean = run_simple_mst(&g, k, &Executor::default());
         let mut fe = faulty.tree_edges.clone();
         fe.sort_unstable();
         let mut ce = clean.tree_edges.clone();
@@ -124,8 +121,8 @@ fn fastdom_t_survives_heavy_loss() {
                 .max_extra_delay(2),
         };
         for solver in [WithinCluster::OptimalDp, WithinCluster::DiamDom] {
-            let faulty = fast_dom_t_distributed_on(&g, k, solver, &exec);
-            let clean = fast_dom_t_distributed(&g, k, solver);
+            let faulty = fast_dom_t_distributed(&g, k, solver, &exec);
+            let clean = fast_dom_t_distributed(&g, k, solver, &Executor::default());
             assert_eq!(
                 faulty.dominators(),
                 clean.dominators(),
@@ -167,8 +164,9 @@ fn fastdom_g_survives_heavy_loss() {
                 .dup_prob(0.05)
                 .max_extra_delay(2),
         };
-        let faulty = fast_dom_g_distributed_on(&g, k, WithinCluster::OptimalDp, &exec);
-        let clean = fast_dom_g_distributed(&g, k, WithinCluster::OptimalDp);
+        let (faulty, _) = fast_dom_g_distributed(&g, k, WithinCluster::OptimalDp, &exec);
+        let (clean, _) =
+            fast_dom_g_distributed(&g, k, WithinCluster::OptimalDp, &Executor::default());
         assert_eq!(faulty.dominators(), clean.dominators(), "seed {seed}");
         for v in g.nodes() {
             assert_eq!(
@@ -196,7 +194,7 @@ fn fastdom_g_survives_heavy_loss() {
 fn pipeline_survives_heavy_loss() {
     for seed in 50..53u64 {
         let g = Family::Gnp.generate(28, seed);
-        let (bfs, _) = kdom::core::dist::bfs::run_bfs(&g, NodeId(0));
+        let (bfs, _) = kdom::core::dist::bfs::run_bfs(&g, NodeId(0), &Executor::default()).unwrap();
         let mk_nodes = || -> Vec<PipelineNode> {
             bfs.iter()
                 .enumerate()
@@ -328,7 +326,7 @@ fn crash_before_round_zero_election_on_survivors() {
 fn budget_exhaustion_names_stuck_nodes() {
     let g = Family::Path.generate(20, 1);
     let nodes: Vec<BfsNode> = (0..g.node_count()).map(|v| BfsNode::new(v == 0)).collect();
-    let err = run_protocol(&g, nodes, 3).unwrap_err();
+    let err = run_protocol(&g, nodes, 3, EngineConfig::default()).unwrap_err();
     match err {
         SimError::RoundLimitExceeded { limit, ref stall } => {
             assert_eq!(limit, 3);
@@ -436,7 +434,7 @@ fn stall_report_counts_duplicated_copies() {
     let g = Family::Path.generate(2, 0);
     let plan = FaultPlan::new(3).dup_prob(1.0);
     let nodes = vec![Chatter { origin: true }, Chatter { origin: false }];
-    let mut sim = Simulator::with_faults(&g, nodes, &plan);
+    let mut sim = Simulator::with_faults(&g, nodes, &plan, EngineConfig::default());
     match sim.run(5).unwrap_err() {
         SimError::RoundLimitExceeded { ref stall, .. } => {
             let depth = stall

@@ -23,8 +23,8 @@ use kdom::core::dist::fragments::FragmentNode;
 use kdom::core::verify::{check_k_dominating_with_threads, check_mst_fragments_with_threads};
 use kdom::graph::generators::{gnm_connected, GenConfig};
 use kdom::graph::mst_ref::kruskal_with_threads;
-use kdom::graph::Graph;
-use kdom::mst::fastmst::fast_mst;
+use kdom::graph::{Graph, NodeId};
+use kdom::mst::fastmst::{default_k, fast_mst, fast_mst_from_root};
 
 const N: usize = 100_000;
 const M: usize = 200_000;
@@ -184,7 +184,7 @@ fn parallel_oracle_certifies_fast_mst_at_1e5() {
 }
 
 /// CI `large-graph` smoke: streamed Fast-MST (`k = ⌈√n⌉`) at 10^5 nodes
-/// under `KDOM_THREADS=4`, asserting the reported engine peak memory
+/// on 4 engine threads, asserting the reported engine peak memory
 /// stays under a pinned budget. The budget is deliberately generous —
 /// it exists to catch accidental O(n²) structures or unbounded staging
 /// growth, not to tune constants.
@@ -193,10 +193,9 @@ fn parallel_oracle_certifies_fast_mst_at_1e5() {
 fn fast_mst_1e5_peak_memory_budget() {
     const BUDGET: u64 = 256 << 20; // 256 MiB for n = 10^5, m = 2×10^5
 
-    std::env::set_var("KDOM_THREADS", "4");
     let g = big_graph();
-    let run = fast_mst(&g);
-    std::env::remove_var("KDOM_THREADS");
+    let config = EngineConfig::default().with_threads(4);
+    let run = fast_mst_from_root(&g, default_k(g.node_count()), NodeId(0), config);
 
     assert_eq!(run.mst_edges.len(), N - 1, "spanning tree incomplete");
     assert_eq!(run.stalls, 0, "pipeline stalled (Lemma 5.3)");

@@ -3,9 +3,12 @@
 //! and without injected faults. (Seeded-loop style: every case derives
 //! deterministically from a fixed seed, so failures are reproducible.)
 
-use kdom::congest::{run_protocol, run_protocol_alpha, run_protocol_alpha_reliable, FaultPlan};
+use kdom::congest::{
+    run_protocol, run_protocol_alpha, run_protocol_alpha_reliable, EngineConfig, FaultPlan,
+};
 use kdom::core::dist::diamdom::{DiamDomNode, TreeConfig};
 use kdom::core::dist::election::ElectionNode;
+use kdom::core::dist::executor::Executor;
 use kdom::graph::generators::{gnp_connected, GenConfig};
 use kdom::graph::{Graph, NodeId};
 use kdom_rng::StdRng;
@@ -18,7 +21,7 @@ fn random_graph(rng: &mut StdRng) -> Graph {
 }
 
 fn diamdom_nodes(g: &Graph, k: usize) -> Vec<DiamDomNode> {
-    let (bfs, _) = kdom::core::dist::bfs::run_bfs(g, NodeId(0));
+    let (bfs, _) = kdom::core::dist::bfs::run_bfs(g, NodeId(0), &Executor::default()).unwrap();
     bfs.iter()
         .map(|b| {
             DiamDomNode::new(TreeConfig {
@@ -57,7 +60,9 @@ fn diamdom_alpha_matches_sync() {
         let g = random_graph(&mut rng);
         let seed = rng.next_u64();
         let k = 2;
-        let sync = run_protocol(&g, diamdom_nodes(&g, k), 100_000).unwrap().0;
+        let sync = run_protocol(&g, diamdom_nodes(&g, k), 100_000, EngineConfig::default())
+            .unwrap()
+            .0;
         let alpha = run_protocol_alpha(&g, diamdom_nodes(&g, k), seed, 3, 2_000_000)
             .unwrap()
             .0;
@@ -80,7 +85,8 @@ fn alpha_payload_count_matches() {
         let g = random_graph(&mut rng);
         let seed = rng.next_u64();
         let k = 2;
-        let (_, sync_report) = run_protocol(&g, diamdom_nodes(&g, k), 100_000).unwrap();
+        let (_, sync_report) =
+            run_protocol(&g, diamdom_nodes(&g, k), 100_000, EngineConfig::default()).unwrap();
         let (_, alpha_report) =
             run_protocol_alpha(&g, diamdom_nodes(&g, k), seed, 4, 2_000_000).unwrap();
         assert_eq!(
@@ -105,7 +111,9 @@ fn faulty_reliable_alpha_matches_sync() {
             .drop_prob(0.05 + rng.random_unit() * 0.2)
             .dup_prob(rng.random_unit() * 0.1)
             .max_extra_delay(rng.random_range(0u64..4));
-        let sync = run_protocol(&g, diamdom_nodes(&g, k), 100_000).unwrap().0;
+        let sync = run_protocol(&g, diamdom_nodes(&g, k), 100_000, EngineConfig::default())
+            .unwrap()
+            .0;
         let (alpha, report) =
             run_protocol_alpha_reliable(&g, diamdom_nodes(&g, k), seed, 3, &plan, 4_000_000)
                 .unwrap();

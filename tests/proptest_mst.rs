@@ -3,6 +3,8 @@
 //! pipelining invariants must hold, and the distributed `SimpleMST` must
 //! agree exactly with its sequential reference. (Seeded-loop style.)
 
+use kdom::congest::EngineConfig;
+use kdom::core::dist::executor::Executor;
 use kdom::core::dist::fragments::run_simple_mst;
 use kdom::core::fragments::simple_mst_forest;
 use kdom::core::verify::{check_mst_fragments, check_spanning_forest};
@@ -44,7 +46,7 @@ fn pipeline_invariants() {
         let g = random_graph(&mut rng);
         let clusters = rng.random_range(1u64..6);
         let cl: Vec<u64> = g.nodes().map(|v| g.id_of(v) % clusters).collect();
-        let run = run_pipeline(&g, NodeId(0), &cl, true, false);
+        let run = run_pipeline(&g, NodeId(0), &cl, true, false, EngineConfig::default());
         assert_eq!(run.stalls, 0, "case {case}");
         assert_eq!(run.order_violations, 0, "case {case}");
     }
@@ -58,7 +60,14 @@ fn pipeline_computes_quotient_mst() {
     for case in 0..48 {
         let g = random_graph(&mut rng);
         let singles: Vec<u64> = g.nodes().map(|v| g.id_of(v)).collect();
-        let run = run_pipeline(&g, NodeId(0), &singles, true, false);
+        let run = run_pipeline(
+            &g,
+            NodeId(0),
+            &singles,
+            true,
+            false,
+            EngineConfig::default(),
+        );
         let mut got = run.mst_weights.clone();
         got.sort_unstable();
         let mut want: Vec<u64> = kruskal(&g).iter().map(|&e| g.edge(e).weight).collect();
@@ -75,7 +84,7 @@ fn simple_mst_dist_eq_seq() {
     for case in 0..48 {
         let g = random_graph(&mut rng);
         let k = rng.random_range(1usize..10);
-        let dist = run_simple_mst(&g, k);
+        let dist = run_simple_mst(&g, k, &Executor::default());
         let seq = simple_mst_forest(&g, k);
         let mut de = dist.tree_edges.clone();
         de.sort_unstable();

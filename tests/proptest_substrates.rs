@@ -4,6 +4,7 @@
 
 use kdom::core::coloring::{forest_mis, is_mis, is_proper_coloring, six_color_forest};
 use kdom::core::dist::bfs::run_bfs;
+use kdom::core::dist::executor::Executor;
 use kdom::core::logstar::{ceil_log2, log_star};
 use kdom::graph::generators::{gnp_connected, random_connected, random_tree, GenConfig};
 use kdom::graph::mst_ref::{is_mst, kruskal, prim};
@@ -82,7 +83,7 @@ fn distributed_bfs_matches() {
     for case in 0..64 {
         let g = any_graph(&mut rng);
         let root = NodeId(rng.random_range(0usize..g.node_count()));
-        let (nodes, report) = run_bfs(&g, root);
+        let (nodes, report) = run_bfs(&g, root, &Executor::default()).unwrap();
         let want = bfs_distances(&g, root);
         for v in 0..g.node_count() {
             assert_eq!(nodes[v].depth, Some(want[v]), "case {case} node {v}");

@@ -8,8 +8,9 @@
 //! round count, and the α → sync projection must never smuggle
 //! α-specific bit counts into a synchronous breakdown.
 
-use kdom::congest::{run_protocol_alpha_reliable, FaultPlan, RunReport, Simulator};
+use kdom::congest::{run_protocol_alpha_reliable, EngineConfig, FaultPlan, RunReport, Simulator};
 use kdom::core::dist::bfs::{run_bfs, BfsNode};
+use kdom::core::dist::executor::Executor;
 use kdom::core::dist::fragments::run_simple_mst;
 use kdom::graph::generators::{gnp_connected, GenConfig};
 use kdom::graph::NodeId;
@@ -21,8 +22,8 @@ use kdom::graph::NodeId;
 #[test]
 fn absorb_and_charge_compose_across_phases() {
     let g = gnp_connected(&GenConfig::with_seed(120, 5), 0.06);
-    let mst = run_simple_mst(&g, 4);
-    let (_, bfs_report) = run_bfs(&g, NodeId(0));
+    let mst = run_simple_mst(&g, 4, &Executor::default());
+    let (_, bfs_report) = run_bfs(&g, NodeId(0), &Executor::default()).unwrap();
     let phases = [mst.report.clone(), bfs_report];
     let charge = 17u64;
 
@@ -80,7 +81,7 @@ fn absorb_and_charge_compose_across_phases() {
 #[test]
 fn charged_phase_touches_rounds_only() {
     let g = gnp_connected(&GenConfig::with_seed(80, 2), 0.08);
-    let mst = run_simple_mst(&g, 3);
+    let mst = run_simple_mst(&g, 3, &Executor::default());
     let mut total = mst.report.clone();
 
     let mut charged = RunReport::default();
@@ -107,7 +108,7 @@ fn alpha_projection_matches_sync_messages_and_zeroes_bits() {
             .collect::<Vec<BfsNode>>()
     };
 
-    let mut sync = Simulator::new(&g, make());
+    let mut sync = Simulator::with_config(&g, make(), EngineConfig::default());
     let sync_report = sync.run(10_000).expect("sync BFS quiesces");
 
     let plan = FaultPlan::new(0); // fault-free

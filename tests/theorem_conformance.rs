@@ -4,6 +4,7 @@
 use kdom::congest::{congest_budget, EngineConfig, Simulator};
 use kdom::core::dist::coloring::cv_schedule;
 use kdom::core::dist::diamdom::run_diamdom;
+use kdom::core::dist::executor::Executor;
 use kdom::core::dist::fragments::{run_simple_mst, schedule_end, FragmentNode};
 use kdom::core::fastdom::{fast_dom_g, fast_dom_t, WithinCluster};
 use kdom::core::partition::dom_partition;
@@ -40,7 +41,7 @@ fn lemma_2_3_diamdom_time() {
     for fam in Family::ALL {
         let g = fam.generate(200, SEED);
         let k = 4;
-        let run = run_diamdom(&g, NodeId(0), k);
+        let run = run_diamdom(&g, NodeId(0), k, EngineConfig::default());
         let bound = 5 * u64::from(diameter(&g)) + 2 * k as u64 + 12;
         assert!(run.total_rounds() <= bound, "{fam}");
     }
@@ -87,7 +88,7 @@ fn theorem_3_2_fastdom_t() {
 fn lemmas_4_1_to_4_3_simple_mst() {
     let g = Family::Grid.generate(400, SEED);
     for k in [3usize, 15] {
-        let run = run_simple_mst(&g, k);
+        let run = run_simple_mst(&g, k, &Executor::default());
         assert!(run.report.rounds <= schedule_end(k) + 2);
         check_mst_fragments(&g, &run.tree_edges).unwrap();
         check_spanning_forest(&g, &run.tree_edges, k + 1).unwrap();
@@ -111,7 +112,14 @@ fn lemma_5_3_full_pipelining() {
     for fam in Family::ALL {
         let g = fam.generate(250, SEED);
         let clusters: Vec<u64> = g.nodes().map(|v| g.id_of(v)).collect();
-        let run = run_pipeline(&g, NodeId(0), &clusters, true, false);
+        let run = run_pipeline(
+            &g,
+            NodeId(0),
+            &clusters,
+            true,
+            false,
+            EngineConfig::default(),
+        );
         assert_eq!(run.stalls, 0, "{fam}");
         assert_eq!(run.order_violations, 0, "{fam}");
     }
@@ -123,7 +131,14 @@ fn lemma_5_3_full_pipelining() {
 fn lemma_5_5_pipeline_time_and_output() {
     let g = Family::Gnp.generate(300, SEED);
     let clusters: Vec<u64> = g.nodes().map(|v| g.id_of(v)).collect();
-    let run = run_pipeline(&g, NodeId(0), &clusters, true, false);
+    let run = run_pipeline(
+        &g,
+        NodeId(0),
+        &clusters,
+        true,
+        false,
+        EngineConfig::default(),
+    );
     let bound = g.node_count() as u64 + 2 * u64::from(diameter(&g)) + 16;
     assert!(run.collect_rounds <= bound);
     assert_eq!(run.mst_weights.len(), g.node_count() - 1);

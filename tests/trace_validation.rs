@@ -46,7 +46,7 @@ fn sync_trace_rederives_recorded_report() {
         .max_extra_delay(2)
         .crash(NodeId(7), 3);
     let mem = MemorySink::new();
-    let mut sim = Simulator::with_faults_config(&g, bfs_nodes(&g), &plan, EngineConfig::default());
+    let mut sim = Simulator::with_faults(&g, bfs_nodes(&g), &plan, EngineConfig::default());
     sim.set_trace(Box::new(mem.clone()));
     let report = sim.run(50_000).expect("faulty BFS quiesces");
 
@@ -97,7 +97,7 @@ fn reliable_alpha_lossy_trace_is_consistent_with_sync() {
     let g = gnp_connected(&GenConfig::with_seed(110, 6), 0.06);
     let plan = FaultPlan::new(77).drop_prob(0.2);
 
-    let mut sync = Simulator::new(&g, bfs_nodes(&g));
+    let mut sync = Simulator::with_config(&g, bfs_nodes(&g), EngineConfig::default());
     let sync_report = sync.run(10_000).expect("sync BFS quiesces");
 
     let mem = MemorySink::new();

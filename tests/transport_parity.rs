@@ -59,7 +59,7 @@ fn reference_run(
         .map(|v| FragmentNode::new(k, g.id_of(NodeId(v))))
         .collect();
     let mut sim = match plan {
-        Some(p) => Simulator::with_faults_config(g, nodes, p, EngineConfig::default()),
+        Some(p) => Simulator::with_faults(g, nodes, p, EngineConfig::default()),
         None => Simulator::with_config(g, nodes, EngineConfig::default()),
     };
     let sink = MemorySink::new();

@@ -50,7 +50,7 @@ fn dropped_messages_parity_high_threads() {
     let mut reports = Vec::new();
     for threads in [1usize, 40] {
         let cfg = EngineConfig::default().with_threads(threads);
-        let mut sim = Simulator::with_faults_config(&g, mk(&g), &plan, cfg);
+        let mut sim = Simulator::with_faults(&g, mk(&g), &plan, cfg);
         sim.run(10_000).expect("quiesces");
         reports.push(sim.report().clone());
     }
