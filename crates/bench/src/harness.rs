@@ -2,9 +2,10 @@
 //!
 //! Exposes the subset of the `criterion` API the benches under
 //! `benches/` consume — [`Criterion`], benchmark groups,
-//! [`Bencher::iter`], and the [`criterion_group!`]/[`criterion_main!`]
-//! macros — so the workspace needs **no external crates** to time its
-//! experiments. Timing is plain [`std::time::Instant`]: per benchmark a
+//! [`Bencher::iter`], and the [`criterion_group!`](crate::criterion_group)
+//! and [`criterion_main!`](crate::criterion_main) macros — so the
+//! workspace needs **no external crates** to time its experiments.
+//! Timing is plain [`std::time::Instant`]: per benchmark a
 //! short warm-up, then batched measurement until a time budget is spent,
 //! reporting min/mean/median over the batches.
 //!

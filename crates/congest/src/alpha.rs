@@ -47,8 +47,8 @@
 //! The synchronous engine skips provably-empty rounds explicitly
 //! ([`crate::engine`]); this executor needs no analogue, because its
 //! event queue *is* a "next event time" min-tracker. Execution is a
-//! single FIFO-stable [`EventQueue`](crate::events::EventQueue) — the
-//! shared event core also backing the engine's timer heap — covering
+//! single FIFO-stable [`EventQueue`] — the shared event core also
+//! backing the engine's timer heap — covering
 //! payload deliveries, ARQ retransmission timers, and (via the reliable
 //! layer's delay queues) every fault-injected extra delay. Popping the
 //! queue jumps the virtual clock directly to the next event — silent

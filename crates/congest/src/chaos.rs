@@ -11,11 +11,10 @@
 //! Every generated schedule is a pure function of `(base graph, config,
 //! seed)`: re-running a seed reproduces the exact schedule, which is
 //! what makes the shrinker's verdicts meaningful. Generated events are
-//! *valid by construction* — each one is accepted by
-//! [`apply_churn`](crate::faults::apply_churn) against the topology the
-//! preceding events produce, and node leaves / edge removals are only
-//! emitted when they keep the graph connected (the protocols under test
-//! assume a connected input).
+//! *valid by construction* — each one is accepted by [`apply_churn`]
+//! against the topology the preceding events produce, and node leaves /
+//! edge removals are only emitted when they keep the graph connected
+//! (the protocols under test assume a connected input).
 //!
 //! The shrinker ([`shrink`]) is a greedy delta-debugging loop: it
 //! repeatedly removes chunks of churn events (halving the chunk size as
@@ -54,10 +53,6 @@ pub struct ChaosConfig {
     pub drop_prob: f64,
     /// Message-duplication probability (`KDOM_CHAOS_DUP`).
     pub dup_prob: f64,
-    /// Largest random gap between a segment's entry and its epoch
-    /// boundary (`KDOM_CHAOS_GAP`); boundaries are drawn from
-    /// `1..=max_gap`.
-    pub max_gap: u64,
     /// Directory for failure artifacts — minimal seed and JSONL trace —
     /// written by the nightly driver (`KDOM_CHAOS_DIR`); `None` skips
     /// artifact writing.
@@ -73,7 +68,6 @@ impl Default for ChaosConfig {
             seed: 0xC0FFEE,
             drop_prob: 0.1,
             dup_prob: 0.05,
-            max_gap: 12,
             artifact_dir: None,
         }
     }
@@ -86,9 +80,10 @@ impl ChaosConfig {
     /// # Panics
     ///
     /// Panics, naming the variable and the offending value, when a knob
-    /// is set but does not parse (via [`kdom_graph::knob`]) — a sweep
-    /// invoked with `KDOM_CHAOS_SCHEDULES=abc` must not silently run the
-    /// 50-schedule default and report success.
+    /// is set but does not parse (via
+    /// [`kdom_graph::knob`](mod@kdom_graph::knob)) — a sweep invoked with
+    /// `KDOM_CHAOS_SCHEDULES=abc` must not silently run the 50-schedule
+    /// default and report success.
     pub fn from_env() -> Self {
         use kdom_graph::knob::knob;
         let d = ChaosConfig::default();
@@ -99,7 +94,6 @@ impl ChaosConfig {
             seed: knob("KDOM_CHAOS_SEED", d.seed),
             drop_prob: knob("KDOM_CHAOS_DROP", d.drop_prob),
             dup_prob: knob("KDOM_CHAOS_DUP", d.dup_prob),
-            max_gap: knob("KDOM_CHAOS_GAP", d.max_gap),
             artifact_dir: kdom_graph::knob::raw("KDOM_CHAOS_DIR"),
         }
     }
@@ -278,34 +272,12 @@ pub fn random_epoch(
 }
 
 /// Generates the full schedule for one seed: transient faults from the
-/// config plus `cfg.epochs` churn epochs, each valid against the
-/// topology produced by its predecessors.
-pub fn gen_schedule(base: &Graph, cfg: &ChaosConfig, seed: u64) -> ChaosSchedule {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut plan = FaultPlan::new(seed)
-        .drop_prob(cfg.drop_prob)
-        .dup_prob(cfg.dup_prob);
-    let mut cur = base.clone();
-    let mut at = 0u64;
-    for _ in 0..cfg.epochs {
-        let (events, next) = random_epoch(&mut rng, &cur, cfg.events_per_epoch, EventMix::Full);
-        at += 1 + rng.below(cfg.max_gap.max(1));
-        if events.is_empty() {
-            continue;
-        }
-        plan = plan.epoch(at, events);
-        cur = next;
-    }
-    ChaosSchedule { seed, plan }
-}
-
-/// Like [`gen_schedule`] but restricted to an [`EventMix`].
-pub fn gen_schedule_with_mix(
-    base: &Graph,
-    cfg: &ChaosConfig,
-    seed: u64,
-    mix: EventMix,
-) -> ChaosSchedule {
+/// config plus `cfg.epochs` churn epochs of `mix` events, each valid
+/// against the topology produced by its predecessors. Epoch `i`'s
+/// `ChurnEpoch::at` exceeds its predecessor's by a seeded draw from
+/// `1..=12`; only the order of the epochs matters, but the draw keeps
+/// every seed's schedule stable.
+pub fn gen_schedule(base: &Graph, cfg: &ChaosConfig, seed: u64, mix: EventMix) -> ChaosSchedule {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut plan = FaultPlan::new(seed)
         .drop_prob(cfg.drop_prob)
@@ -314,7 +286,7 @@ pub fn gen_schedule_with_mix(
     let mut at = 0u64;
     for _ in 0..cfg.epochs {
         let (events, next) = random_epoch(&mut rng, &cur, cfg.events_per_epoch, mix);
-        at += 1 + rng.below(cfg.max_gap.max(1));
+        at += 1 + rng.below(12);
         if events.is_empty() {
             continue;
         }
@@ -478,8 +450,8 @@ mod tests {
     fn generation_is_deterministic_and_valid() {
         let g = ring(8);
         let cfg = ChaosConfig::default();
-        let s1 = gen_schedule(&g, &cfg, 7);
-        let s2 = gen_schedule(&g, &cfg, 7);
+        let s1 = gen_schedule(&g, &cfg, 7, EventMix::Full);
+        let s2 = gen_schedule(&g, &cfg, 7, EventMix::Full);
         assert_eq!(s1, s2, "same seed must regenerate the same schedule");
         assert!(!s1.plan.epochs.is_empty());
         // every epoch applies cleanly in sequence and keeps the graph
@@ -490,7 +462,7 @@ mod tests {
             assert!(connected(&next));
             cur = next;
         }
-        let s3 = gen_schedule(&g, &cfg, 8);
+        let s3 = gen_schedule(&g, &cfg, 8, EventMix::Full);
         assert_ne!(s1, s3, "different seeds should differ");
     }
 
@@ -498,7 +470,7 @@ mod tests {
     fn weight_only_mix_changes_no_topology() {
         let g = ring(6);
         let cfg = ChaosConfig::default();
-        let s = gen_schedule_with_mix(&g, &cfg, 3, EventMix::WeightOnly);
+        let s = gen_schedule(&g, &cfg, 3, EventMix::WeightOnly);
         let mut cur = g.clone();
         for ep in &s.plan.epochs {
             for ev in &ep.events {
@@ -520,7 +492,7 @@ mod tests {
             events_per_epoch: 4,
             ..ChaosConfig::default()
         };
-        let sched = gen_schedule(&g, &cfg, 11);
+        let sched = gen_schedule(&g, &cfg, 11, EventMix::Full);
         assert!(
             sched.event_count() >= 50,
             "need a big schedule, got {}",
@@ -548,7 +520,7 @@ mod tests {
     #[test]
     fn shrinker_respects_the_attempt_budget() {
         let g = ring(8);
-        let sched = gen_schedule(&g, &ChaosConfig::default(), 5);
+        let sched = gen_schedule(&g, &ChaosConfig::default(), 5, EventMix::Full);
         let mut calls = 0usize;
         let report = shrink(
             &sched,
@@ -565,7 +537,7 @@ mod tests {
     #[test]
     fn shrink_of_non_reproducing_schedule_is_identity() {
         let g = ring(6);
-        let sched = gen_schedule(&g, &ChaosConfig::default(), 9);
+        let sched = gen_schedule(&g, &ChaosConfig::default(), 9, EventMix::Full);
         let report = shrink(&sched, |_| false, 1_000);
         assert_eq!(report.schedule, sched);
         assert_eq!(report.events_before, report.events_after);

@@ -54,7 +54,7 @@ use std::time::Instant;
 
 use kdom_graph::graph::{Graph, NodeId};
 
-use crate::faults::{apply_churn, ChurnError, ChurnRemap, FaultInjector, FaultPlan};
+use crate::faults::FaultInjector;
 use crate::report::RunReport;
 use crate::round::{fixed_memory, staged_bytes, NodeOutcome, RoundBackend, RoundCore, Slot};
 use crate::sim::{Message, NodeCtx, Outbox, Port, Protocol, SimError, StallReport};
@@ -124,8 +124,8 @@ impl EngineConfig {
     ///
     /// Panics, naming the variable and the offending value, when a knob
     /// is set but malformed or out of range (via
-    /// [`kdom_graph::knob`]) — a typo'd knob must not silently run the
-    /// default configuration.
+    /// [`kdom_graph::knob`](mod@kdom_graph::knob)) — a typo'd knob must
+    /// not silently run the default configuration.
     pub fn from_env() -> Self {
         use kdom_graph::knob::{knob_checked, knob_flag};
         let defaults = EngineConfig::default();
@@ -1049,145 +1049,6 @@ pub fn run_reference_loop<P: Protocol>(
     Ok((nodes, report))
 }
 
-/// Why [`run_epochs`] aborted: a segment's simulation failed, or a churn
-/// event did not apply to the topology it arrived at.
-///
-/// Segments are 0-based: segment `i` runs *before* epoch `i`'s events are
-/// applied, and the final segment (after the last epoch) has index
-/// `plan.epochs.len()`.
-#[derive(Debug)]
-pub enum EpochError {
-    /// Segment `epoch` hit a simulation error (congestion violation,
-    /// round-limit stall, wire mismatch, ...).
-    Sim {
-        /// Index of the failing segment.
-        epoch: usize,
-        /// The underlying engine error (boxed: [`SimError`] carries a
-        /// full [`StallReport`], which would bloat every `Ok` result).
-        error: Box<SimError>,
-    },
-    /// Epoch `epoch`'s events reference nodes or edges that do not exist
-    /// in (or clash with) the topology they arrived at.
-    Churn {
-        /// Index of the failing epoch.
-        epoch: usize,
-        /// The underlying churn-application error.
-        error: ChurnError,
-    },
-}
-
-impl std::fmt::Display for EpochError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EpochError::Sim { epoch, error } => {
-                write!(f, "segment {epoch} failed: {error}")
-            }
-            EpochError::Churn { epoch, error } => {
-                write!(f, "epoch {epoch} does not apply: {error}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for EpochError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            EpochError::Sim { error, .. } => Some(error.as_ref()),
-            EpochError::Churn { error, .. } => Some(error),
-        }
-    }
-}
-
-/// Outcome of [`run_epochs`]: the final topology, the automata after the
-/// last segment quiesced, and per-segment execution evidence.
-#[derive(Debug)]
-pub struct EpochRun<P> {
-    /// Topology after the last epoch (a clone of the input graph when the
-    /// plan schedules no epochs).
-    pub graph: Graph,
-    /// Automata after the final segment reached quiescence.
-    pub nodes: Vec<P>,
-    /// One [`RunReport`] per segment — `plan.epochs.len() + 1` entries.
-    pub segments: Vec<RunReport>,
-    /// For each epoch, whether its boundary cut a still-running segment
-    /// (`true`) or the segment had already quiesced on its own (`false`).
-    pub cut: Vec<bool>,
-}
-
-/// Runs a protocol across the churn epochs scheduled in `plan`.
-///
-/// A [`Graph`] is immutable for the lifetime of a run, so a topology
-/// change cannot happen mid-run. Instead the driver slices the
-/// execution into **segments**: it runs the current automata until either
-/// they quiesce or the next epoch's round boundary (`ChurnEpoch::at`,
-/// measured in rounds since the segment started) is reached, applies the
-/// epoch's events with [`apply_churn`], asks `reenter` to build the
-/// automata for the rebuilt topology, and continues. Transient faults
-/// (loss, duplication, crashes, link downs) are re-armed per segment with
-/// a fresh [`FaultInjector`] seeded from the same plan, so every segment
-/// replays deterministically.
-///
-/// `reenter` receives the rebuilt graph, the [`ChurnRemap`] between the
-/// old and new node indices, and the automata from the finished segment;
-/// it must return exactly one automaton per node of the new graph.
-/// Protocol state carried across an epoch is the *caller's* choice:
-/// returning fresh automata restarts the protocol, while migrating state
-/// through the remap implements warm re-entry.
-///
-/// `max_rounds` bounds every segment individually; a segment that neither
-/// quiesces nor reaches its boundary within the budget fails with
-/// [`SimError::RoundLimitExceeded`] wrapped in [`EpochError::Sim`].
-pub fn run_epochs<P, F>(
-    graph: &Graph,
-    nodes: Vec<P>,
-    plan: &FaultPlan,
-    config: EngineConfig,
-    max_rounds: u64,
-    mut reenter: F,
-) -> Result<EpochRun<P>, EpochError>
-where
-    P: Protocol,
-    F: FnMut(&Graph, &ChurnRemap, Vec<P>) -> Vec<P>,
-{
-    let mut cur = graph.clone();
-    let mut nodes = nodes;
-    let mut segments = Vec::with_capacity(plan.epochs.len() + 1);
-    let mut cut = Vec::with_capacity(plan.epochs.len());
-    for i in 0..=plan.epochs.len() {
-        let injector = plan
-            .has_transient_faults()
-            .then(|| FaultInjector::new(plan));
-        let (mut core, mut engine) = RoundEngine::new(&cur, nodes, config, injector);
-        let boundary = plan.epochs.get(i).map_or(u64::MAX, |e| e.at);
-        let quiesced = core
-            .run(&mut engine, boundary, max_rounds, None)
-            .map_err(|error| EpochError::Sim {
-                epoch: i,
-                error: Box::new(error),
-            })?;
-        segments.push(core.into_report());
-        nodes = engine.into_nodes();
-        if let Some(epoch) = plan.epochs.get(i) {
-            cut.push(!quiesced);
-            let (next, remap) = apply_churn(&cur, &epoch.events)
-                .map_err(|error| EpochError::Churn { epoch: i, error })?;
-            nodes = reenter(&next, &remap, nodes);
-            assert_eq!(
-                nodes.len(),
-                next.node_count(),
-                "reenter must return one automaton per node of the new graph"
-            );
-            cur = next;
-        }
-    }
-    Ok(EpochRun {
-        graph: cur,
-        nodes,
-        segments,
-        cut,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1247,200 +1108,5 @@ mod tests {
         // oversized messages collapse into the recompute sentinel
         let w = pack_meta(3, 1, META_BITS + 999);
         assert_eq!(w & META_BITS, META_BITS);
-    }
-
-    // ---- epoch driver -------------------------------------------------
-
-    use crate::faults::ChurnEvent;
-
-    /// Min-id flooding: every node converges to the smallest application
-    /// id in its connected component. `fresh` forces one initial
-    /// broadcast; afterwards activity is purely message-driven.
-    #[derive(Clone, Debug)]
-    struct IdMsg(u64);
-    impl crate::wire::Wire for IdMsg {
-        fn encode(&self, w: &mut crate::wire::BitWriter) {
-            w.word(self.0);
-        }
-        fn decode(r: &mut crate::wire::BitReader<'_>) -> Result<Self, crate::wire::WireError> {
-            Ok(IdMsg(r.word()?))
-        }
-    }
-    impl Message for IdMsg {}
-
-    #[derive(Debug)]
-    struct MinId {
-        best: u64,
-        fresh: bool,
-    }
-    impl Protocol for MinId {
-        type Msg = IdMsg;
-        fn round(&mut self, _: &NodeCtx<'_>, inbox: &[(Port, IdMsg)], out: &mut Outbox<IdMsg>) {
-            let mut improved = self.fresh;
-            self.fresh = false;
-            for (_, m) in inbox {
-                if m.0 < self.best {
-                    self.best = m.0;
-                    improved = true;
-                }
-            }
-            if improved {
-                out.broadcast(IdMsg(self.best));
-            }
-        }
-        fn is_done(&self) -> bool {
-            !self.fresh
-        }
-    }
-
-    fn min_id_nodes(g: &Graph) -> Vec<MinId> {
-        (0..g.node_count())
-            .map(|v| MinId {
-                best: g.id_of(NodeId(v)),
-                fresh: true,
-            })
-            .collect()
-    }
-
-    fn id_path(ids: &[u64]) -> Graph {
-        let mut b = kdom_graph::graph::GraphBuilder::new(ids.len());
-        b.ids(ids.to_vec());
-        for i in 1..ids.len() {
-            b.add_edge(NodeId(i - 1), NodeId(i), 100 + i as u64);
-        }
-        b.build()
-    }
-
-    #[test]
-    fn epochs_rebuild_and_reenter() {
-        // Path 10-5-7-9; everyone floods to 5. The epoch removes node 5,
-        // splitting {10} from {7, 9}; the fresh re-entry re-floods on the
-        // rebuilt topology.
-        let g = id_path(&[10, 5, 7, 9]);
-        let plan = FaultPlan::new(1).epoch(1_000, vec![ChurnEvent::NodeLeave { id: 5 }]);
-        let run = run_epochs(
-            &g,
-            min_id_nodes(&g),
-            &plan,
-            EngineConfig::default(),
-            10_000,
-            |new_g, remap, old| {
-                // Node 5 had dense index 1; everything after shifts down.
-                assert_eq!(remap.old_to_new[1], None);
-                assert_eq!(remap.old_to_new[2], Some(NodeId(1)));
-                assert_eq!(remap.new_to_old[2], Some(NodeId(3)));
-                // The finished segment did converge to the global min.
-                assert!(old.iter().all(|n| n.best == 5));
-                min_id_nodes(new_g)
-            },
-        )
-        .unwrap();
-        assert_eq!(run.segments.len(), 2);
-        assert_eq!(run.cut, vec![false], "segment 0 quiesced before round 1000");
-        assert_eq!(run.graph.node_count(), 3);
-        let best: Vec<u64> = run.nodes.iter().map(|n| n.best).collect();
-        assert_eq!(best, vec![10, 7, 7], "node 10 is now isolated from 7-9");
-    }
-
-    #[test]
-    fn epoch_boundary_cuts_running_segment() {
-        // A 6-node path needs ~5 rounds to flood; the epoch at round 1
-        // cuts the segment mid-run. The weight change is a topology no-op,
-        // so the re-entered protocol still converges on the same path.
-        let ids = [40, 41, 44, 43, 47, 42];
-        let g = id_path(&ids);
-        let plan = FaultPlan::new(1).epoch(
-            1,
-            vec![ChurnEvent::EdgeWeightChange {
-                a: 40,
-                b: 41,
-                weight: 999,
-            }],
-        );
-        let run = run_epochs(
-            &g,
-            min_id_nodes(&g),
-            &plan,
-            EngineConfig::default(),
-            10_000,
-            |new_g, remap, _| {
-                assert_eq!(
-                    remap.old_to_new[3],
-                    Some(NodeId(3)),
-                    "weight change keeps ids"
-                );
-                min_id_nodes(new_g)
-            },
-        )
-        .unwrap();
-        assert_eq!(run.cut, vec![true], "round-1 boundary interrupts the flood");
-        assert_eq!(run.segments[0].rounds, 1);
-        assert!(run.nodes.iter().all(|n| n.best == 40));
-        let e = run.graph.edge_between(NodeId(0), NodeId(1));
-        assert!(e.is_some_and(|er| er.weight == 999));
-    }
-
-    #[test]
-    fn epoch_churn_errors_carry_the_epoch_index() {
-        let g = id_path(&[1, 2]);
-        let plan = FaultPlan::new(0)
-            .epoch(
-                10,
-                vec![ChurnEvent::EdgeWeightChange {
-                    a: 1,
-                    b: 2,
-                    weight: 7,
-                }],
-            )
-            .epoch(20, vec![ChurnEvent::NodeLeave { id: 99 }]);
-        let err = run_epochs(
-            &g,
-            min_id_nodes(&g),
-            &plan,
-            EngineConfig::default(),
-            10_000,
-            |new_g, _, _| min_id_nodes(new_g),
-        )
-        .unwrap_err();
-        match err {
-            EpochError::Churn { epoch, error } => {
-                assert_eq!(epoch, 1);
-                assert!(matches!(error, ChurnError::UnknownNode { id: 99 }));
-            }
-            other => panic!("expected churn error, got {other}"),
-        }
-    }
-
-    #[test]
-    fn epoch_segments_replay_transient_faults() {
-        // Same plan, two runs: per-segment fresh injectors make the whole
-        // epoch execution deterministic.
-        let g = id_path(&[10, 5, 7, 9, 3, 8]);
-        let plan = FaultPlan::new(42).drop_prob(0.2).epoch(
-            3,
-            vec![ChurnEvent::EdgeInsert {
-                a: 10,
-                b: 8,
-                weight: 1,
-            }],
-        );
-        let runs: Vec<_> = (0..2)
-            .map(|_| {
-                run_epochs(
-                    &g,
-                    min_id_nodes(&g),
-                    &plan,
-                    EngineConfig::default(),
-                    10_000,
-                    |new_g, _, _| min_id_nodes(new_g),
-                )
-                .unwrap()
-            })
-            .collect();
-        assert_eq!(runs[0].segments, runs[1].segments);
-        let best0: Vec<u64> = runs[0].nodes.iter().map(|n| n.best).collect();
-        let best1: Vec<u64> = runs[1].nodes.iter().map(|n| n.best).collect();
-        assert_eq!(best0, best1);
-        assert!(best0.iter().all(|&b| b == 3), "drops only delay flooding");
     }
 }

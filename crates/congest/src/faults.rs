@@ -15,13 +15,14 @@
 //!
 //! Beyond transient faults, a plan may also schedule **churn epochs**
 //! ([`ChurnEpoch`]): batches of topology changes ([`ChurnEvent`]) applied
-//! at round boundaries. [`NodeLeave`](ChurnEvent::NodeLeave) generalizes
+//! between runs. [`NodeLeave`](ChurnEvent::NodeLeave) generalizes
 //! crash-stop — the node is removed from the topology rather than merely
 //! silenced — and joins, edge insertions/removals, and weight changes
 //! model the rest of a production graph's life. [`apply_churn`] rebuilds
 //! the (immutable) [`Graph`] deterministically and returns a
-//! [`ChurnRemap`] so surviving per-node state can be carried across; the
-//! epoch driver in [`crate::engine`] uses it to re-enter protocols.
+//! [`ChurnRemap`] so surviving per-node state can be carried across;
+//! `kdom_core::dist::refixup::run_fragment_epochs` uses it to repair a
+//! protocol's output on the rebuilt topology.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -51,11 +52,12 @@ pub struct FaultPlan {
     pub crashes: Vec<Crash>,
     /// Intervals during which a link delivers nothing in either direction.
     pub link_downs: Vec<LinkDown>,
-    /// Scheduled churn epochs, sorted by round by the builder. The
-    /// simulators themselves do not interpret these (a [`Graph`] is
-    /// immutable for the lifetime of a run); the epoch driver
-    /// ([`crate::engine::run_epochs`]) cuts the run at each boundary,
-    /// applies the events and re-enters the protocol.
+    /// Scheduled churn epochs, kept sorted by `at` by
+    /// [`FaultPlan::epoch`]. The simulators themselves do not interpret
+    /// these (a [`Graph`] is immutable for the lifetime of a run):
+    /// `ChurnEpoch::at` orders the batches, and
+    /// `kdom_core::dist::refixup::run_fragment_epochs` applies each batch
+    /// once the previous run has quiesced.
     pub epochs: Vec<ChurnEpoch>,
 }
 
@@ -140,12 +142,13 @@ impl ChurnEvent {
     }
 }
 
-/// A batch of churn events applied atomically at one round boundary.
+/// A batch of churn events applied atomically between two runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChurnEpoch {
-    /// The round boundary (rounds since the current protocol entry) at
-    /// which the batch applies; a run that quiesces earlier applies the
-    /// batch at quiescence.
+    /// The batch's position in the plan: epochs apply in ascending `at`,
+    /// each once the run before it has quiesced. The value is part of
+    /// the plan's identity (it is hashed into a run's spec), but nothing
+    /// reads it as a round number.
     pub at: u64,
     /// The events of the batch, applied in order.
     pub events: Vec<ChurnEvent>,
@@ -399,14 +402,14 @@ pub enum FaultPlanError {
         /// Claimed end of the outage.
         until: u64,
     },
-    /// A churn epoch is already scheduled at the same round.
+    /// A churn epoch is already scheduled at the same `at`.
     DuplicateEpoch {
-        /// The clashing round boundary.
+        /// The clashing `at`.
         at: u64,
     },
     /// A churn epoch carried no events.
     EmptyEpoch {
-        /// The round boundary of the empty epoch.
+        /// The `at` of the empty epoch.
         at: u64,
     },
 }
@@ -427,10 +430,10 @@ impl fmt::Display for FaultPlanError {
                 write!(f, "empty down-interval [{from}, {until}) for {edge:?}")
             }
             FaultPlanError::DuplicateEpoch { at } => {
-                write!(f, "an epoch is already scheduled at round {at}")
+                write!(f, "an epoch is already scheduled at {at}")
             }
             FaultPlanError::EmptyEpoch { at } => {
-                write!(f, "epoch at round {at} has no events")
+                write!(f, "the epoch at {at} has no events")
             }
         }
     }
@@ -600,20 +603,20 @@ impl FaultPlan {
         Ok(self)
     }
 
-    /// Schedules a churn epoch: `events` applied atomically at round
-    /// boundary `at` (rounds since the current protocol entry). Epochs
-    /// are kept sorted by round.
+    /// Schedules a churn epoch: `events` applied atomically, in the order
+    /// `at` gives among the plan's epochs, once the previous run has
+    /// quiesced. Epochs are kept sorted by `at`.
     ///
     /// # Panics
     ///
-    /// Panics on an empty batch or a second epoch at the same round
+    /// Panics on an empty batch or a second epoch at the same `at`
     /// ([`FaultPlan::try_epoch`] is the non-panicking variant).
     pub fn epoch(self, at: u64, events: Vec<ChurnEvent>) -> Self {
         self.try_epoch(at, events).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Schedules a churn epoch, rejecting empty batches and duplicate
-    /// round boundaries.
+    /// Schedules a churn epoch, rejecting empty batches and a second
+    /// epoch at the same `at`.
     ///
     /// # Errors
     ///
@@ -639,18 +642,6 @@ impl FaultPlan {
             && self.crashes.is_empty()
             && self.link_downs.is_empty()
             && self.epochs.is_empty()
-    }
-
-    /// Whether the plan carries any per-run (non-churn) faults that need a
-    /// [`FaultInjector`]: message loss, duplication, extra delay, crashes
-    /// or link down-intervals. Churn epochs are excluded — they are
-    /// interpreted by the epoch driver, not the injector.
-    pub fn has_transient_faults(&self) -> bool {
-        self.drop_prob > 0.0
-            || self.dup_prob > 0.0
-            || self.max_extra_delay > 0
-            || !self.crashes.is_empty()
-            || !self.link_downs.is_empty()
     }
 }
 

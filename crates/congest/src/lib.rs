@@ -77,10 +77,9 @@ pub mod wire;
 
 pub use alpha::{run_protocol_alpha, run_protocol_alpha_reliable, AlphaReport, AlphaSimulator};
 pub use chaos::{
-    gen_schedule, gen_schedule_with_mix, random_epoch, shrink, ChaosConfig, ChaosSchedule,
-    EventMix, ShrinkReport,
+    gen_schedule, random_epoch, shrink, ChaosConfig, ChaosSchedule, EventMix, ShrinkReport,
 };
-pub use engine::{run_epochs, EngineConfig, EpochError, EpochRun};
+pub use engine::EngineConfig;
 pub use events::{EventQueue, TimerHeap};
 pub use faults::{
     apply_churn, ChurnEpoch, ChurnError, ChurnEvent, ChurnRemap, FaultInjector, FaultPlan,
@@ -93,14 +92,13 @@ pub use jobs::{
 pub use reliable::ReliableConfig;
 pub use report::RunReport;
 pub use sim::{
-    congest_budget, run_protocol, InvariantView, Message, NodeCtx, Outbox, Port, Protocol,
-    SimError, Simulator, StallReport, Wake, CONGEST_WORD_BITS,
+    congest_budget, run_protocol, Message, NodeCtx, Outbox, Port, Protocol, SimError, Simulator,
+    StallReport, Wake, CONGEST_WORD_BITS,
 };
 pub use trace::{JsonlSink, MemorySink, TraceEvent, TraceSink, TraceSummary};
 pub use transport::{
-    coordinate, frame_to_bytes, graph_fingerprint, net_timeout, read_frame, run_worker,
-    shard_bounds, Conn, CoordListener, CoordOpts, DistOutcome, Endpoint, WorkerOpts,
-    TRANSPORT_VERSION,
+    coordinate, frame_to_bytes, net_timeout, read_frame, run_worker, shard_bounds, Conn,
+    CoordListener, CoordOpts, DistOutcome, Endpoint, WorkerOpts, TRANSPORT_VERSION,
 };
 pub use wire::{
     decode_from, encode_to, BitReader, BitWriter, CodecScratch, Wire, WireError, WireFrame,

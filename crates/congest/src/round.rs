@@ -112,10 +112,6 @@ pub(crate) fn staged_bytes<P: Protocol>() -> u64 {
     8 + std::mem::size_of::<P::Msg>() as u64
 }
 
-/// A check [`RoundCore::run`] calls after every step with the core and
-/// its backend.
-pub(crate) type Observer<'a, C, B> = dyn FnMut(&C, &B) -> Result<(), SimError> + 'a;
-
 /// How an executor computes one round for a [`RoundCore`].
 pub(crate) trait RoundBackend<M> {
     /// Executes `core.active` for round `core.round`: takes their queued
@@ -382,40 +378,24 @@ impl<'g, M> RoundCore<'g, M> {
         }
     }
 
-    /// The run loop of every synchronous executor: runs until quiescence
-    /// or until the round counter reaches `boundary` (whichever comes
-    /// first), returning whether the run quiesced, then closes the trace
-    /// with the final report. Fast-forward is bounded by the boundary, so
-    /// a churn epoch scheduled at round `r` cuts the run at exactly `r`.
-    /// `observe`, when given, runs after every step; it must see every
-    /// round, so it turns fast-forward off.
+    /// The run loop of every synchronous executor: runs until quiescence,
+    /// then closes the trace with the final report.
     ///
     /// # Errors
     ///
     /// [`SimError::RoundLimitExceeded`] (with a stall snapshot) if the
-    /// round counter reaches `limit` first, and every error of a step or
-    /// of `observe`.
+    /// round counter reaches `limit` first, and every error of a step.
     pub(crate) fn run<B: RoundBackend<M>>(
         &mut self,
         backend: &mut B,
-        boundary: u64,
         limit: u64,
-        mut observe: Option<&mut Observer<'_, Self, B>>,
-    ) -> Result<bool, SimError> {
-        let quiesced = loop {
+    ) -> Result<(), SimError> {
+        while !self.quiescent() {
+            self.fast_forward(limit);
+            // the jump may have landed on a crash that excuses the last
+            // unfinished nodes
             if self.quiescent() {
-                break true;
-            }
-            if observe.is_none() {
-                self.fast_forward(boundary.min(limit));
-                // the jump may have landed on a crash that excuses the
-                // last unfinished nodes
-                if self.quiescent() {
-                    break true;
-                }
-            }
-            if self.round >= boundary {
-                break false;
+                break;
             }
             if self.round >= limit {
                 return Err(SimError::RoundLimitExceeded {
@@ -424,17 +404,14 @@ impl<'g, M> RoundCore<'g, M> {
                 });
             }
             self.step(backend)?;
-            if let Some(check) = observe.as_mut() {
-                check(self, backend)?;
-            }
-        };
+        }
         if let Some(t) = self.trace.as_mut() {
             t.event(&TraceEvent::RunEnd {
                 report: &self.report,
             });
             t.flush();
         }
-        Ok(quiesced)
+        Ok(())
     }
 
     /// Executes a single round on `backend`.
@@ -643,29 +620,6 @@ impl<'g, M> RoundCore<'g, M> {
                 }
             }
         }
-    }
-}
-
-impl<M: Clone> RoundCore<'_, M> {
-    /// Rebuilds the per-node pending queues in the legacy
-    /// `Vec<Vec<(Port, Msg)>>` shape (sorted by port, duplicates
-    /// adjacent) for invariant checks. Allocates; only called when
-    /// invariants are registered.
-    pub(crate) fn materialize_pending(&self) -> Vec<Vec<(Port, M)>> {
-        self.offsets
-            .windows(2)
-            .map(|w| {
-                let mut queue = Vec::new();
-                for (p, slot) in self.pending[w[0]..w[1]].iter().enumerate() {
-                    if let Some((msg, copies)) = slot {
-                        for _ in 0..*copies {
-                            queue.push((Port(p), msg.clone()));
-                        }
-                    }
-                }
-                queue
-            })
-            .collect()
     }
 }
 

@@ -7,7 +7,7 @@ use kdom_graph::graph::{Arc, Graph, NodeId};
 use crate::engine::{EngineConfig, RoundEngine};
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::report::RunReport;
-use crate::round::{Observer, RoundCore};
+use crate::round::RoundCore;
 
 /// A message that can travel over an edge.
 ///
@@ -340,15 +340,6 @@ pub enum SimError {
         /// The round in which it happened.
         round: u64,
     },
-    /// A user-registered per-round invariant check failed.
-    InvariantViolation {
-        /// Round at which the check failed.
-        round: u64,
-        /// Name the invariant was registered under.
-        name: String,
-        /// The checker's explanation.
-        detail: String,
-    },
     /// A message's frame failed to decode, or its decoded form disagrees
     /// with what was sent — the codec and the message type are out of
     /// sync.
@@ -402,13 +393,6 @@ impl fmt::Display for SimError {
                 f,
                 "CONGEST violation: {node:?} sent two messages on {port:?} in round {round}"
             ),
-            SimError::InvariantViolation {
-                round,
-                name,
-                detail,
-            } => {
-                write!(f, "invariant '{name}' violated at round {round}: {detail}")
-            }
             SimError::WireMismatch {
                 node,
                 port,
@@ -443,30 +427,17 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Read-only view handed to per-round invariant checks.
-pub struct InvariantView<'a, P: Protocol> {
-    /// The round that just executed.
-    pub round: u64,
-    /// All node automata.
-    pub nodes: &'a [P],
-    /// Messages queued for delivery next round, per node.
-    pub pending: &'a [Vec<(Port, P::Msg)>],
-}
-
-type InvariantFn<P> = Box<dyn FnMut(&InvariantView<'_, P>) -> Result<(), String>>;
-
 /// Deterministic lockstep executor of a [`Protocol`] over a graph.
 ///
 /// A thin shell over the shared round core (the round loop, message
 /// arena, and scheduling) driving the in-process [`crate::engine`]
 /// backend (the automata and the optional parallel compute phase); this
-/// type adds the invariant hooks and the public surface. Every
-/// constructor takes its [`EngineConfig`] from the caller; nothing here
-/// reads the environment's engine knobs.
+/// type adds the public surface. Every constructor takes its
+/// [`EngineConfig`] from the caller; nothing here reads the
+/// environment's engine knobs.
 pub struct Simulator<'g, P: Protocol> {
     core: RoundCore<'g, P::Msg>,
     engine: RoundEngine<'g, P>,
-    invariants: Vec<(String, InvariantFn<P>)>,
 }
 
 impl<'g, P: Protocol> Simulator<'g, P> {
@@ -486,11 +457,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         injector: Option<FaultInjector>,
     ) -> Self {
         let (core, engine) = RoundEngine::new(graph, nodes, config, injector);
-        Simulator {
-            core,
-            engine,
-            invariants: Vec::new(),
-        }
+        Simulator { core, engine }
     }
 
     /// Creates a simulator that injects the faults described by `plan`.
@@ -513,17 +480,6 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         config: EngineConfig,
     ) -> Self {
         Self::build(graph, nodes, config, Some(FaultInjector::new(plan)))
-    }
-
-    /// Registers a per-round invariant check, run after every round; a
-    /// `Err(detail)` return aborts the run with
-    /// [`SimError::InvariantViolation`] naming `name`.
-    pub fn add_invariant(
-        &mut self,
-        name: impl Into<String>,
-        check: impl FnMut(&InvariantView<'_, P>) -> Result<(), String> + 'static,
-    ) {
-        self.invariants.push((name.into(), Box::new(check)));
     }
 
     /// The node automata (for output extraction after a run).
@@ -594,50 +550,18 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// Runs until quiescence or until `max_rounds` rounds were executed.
     ///
     /// When quiescence fast-forward is enabled ([`EngineConfig`], the
-    /// default) and no invariant hooks are registered, stretches of rounds
-    /// in which no message is due and no node is ticking are skipped in
-    /// O(1) — the [`RunReport`] and any [`StallReport`] are byte-identical
-    /// to the unskipped execution. Invariant hooks observe every round, so
-    /// registering one disables the skip.
+    /// default), stretches of rounds in which no message is due and no
+    /// node is ticking are skipped in O(1) — the [`RunReport`] and any
+    /// [`StallReport`] are byte-identical to the unskipped execution.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::RoundLimitExceeded`] (with a [`StallReport`]
     /// naming the stuck nodes) if the protocol is still active after
-    /// `max_rounds` rounds, and propagates every error of [`Self::step`]
-    /// and of registered invariant checks.
+    /// `max_rounds` rounds, and propagates every error of [`Self::step`].
     pub fn run(&mut self, max_rounds: u64) -> Result<RunReport, SimError> {
-        let Simulator {
-            core,
-            engine,
-            invariants,
-        } = self;
-        let observed = !invariants.is_empty();
-        let mut check = |core: &RoundCore<'g, P::Msg>, engine: &RoundEngine<'g, P>| {
-            // The arena is flattened; rebuild the legacy per-node queue
-            // shape the invariant API exposes (only paid when checks are
-            // registered).
-            let pending = core.materialize_pending();
-            let view = InvariantView {
-                round: core.round,
-                nodes: engine.nodes(),
-                pending: &pending,
-            };
-            for (name, check) in invariants.iter_mut() {
-                if let Err(detail) = check(&view) {
-                    return Err(SimError::InvariantViolation {
-                        round: view.round,
-                        name: name.clone(),
-                        detail,
-                    });
-                }
-            }
-            Ok(())
-        };
-        let observe: Option<&mut Observer<'_, _, _>> =
-            if observed { Some(&mut check) } else { None };
-        core.run(engine, u64::MAX, max_rounds, observe)?;
-        Ok(core.report().clone())
+        self.core.run(&mut self.engine, max_rounds)?;
+        Ok(self.core.report().clone())
     }
 }
 
@@ -979,38 +903,6 @@ mod tests {
         assert_eq!(report.duplicated_messages, 1);
     }
 
-    #[test]
-    fn invariant_hook_aborts_with_context() {
-        let g = path(&GenConfig::with_seed(4, 0));
-        let nodes = (0..4)
-            .map(|i| Bfs {
-                source: i == 0,
-                dist: None,
-            })
-            .collect();
-        let mut sim = Simulator::with_config(&g, nodes, EngineConfig::default());
-        sim.add_invariant("no-depth-beyond-1", |view| {
-            for (v, n) in view.nodes.iter().enumerate() {
-                if n.dist.is_some_and(|d| d > 1) {
-                    return Err(format!("node {v} reached depth {}", n.dist.unwrap()));
-                }
-            }
-            Ok(())
-        });
-        let err = sim.run(100).unwrap_err();
-        let SimError::InvariantViolation {
-            name,
-            round,
-            detail,
-        } = err
-        else {
-            panic!("expected invariant violation");
-        };
-        assert_eq!(name, "no-depth-beyond-1");
-        assert!(round >= 2);
-        assert!(detail.contains("depth 2"));
-    }
-
     /// The packed per-message meta word stores `size_bits` in 20 bits;
     /// frames over `2^20 − 1` bits collapse into the all-ones sentinel and
     /// the merge recomputes their size from the message itself. Push a
@@ -1078,32 +970,5 @@ mod tests {
         assert_eq!(report.messages, 1);
         assert_eq!(report.total_bits, huge_bits, "recomputed, not truncated");
         assert_eq!(report.max_message_bits, huge_bits);
-    }
-
-    #[test]
-    fn invariant_pass_leaves_run_untouched() {
-        let g = path(&GenConfig::with_seed(6, 0));
-        let nodes = (0..6)
-            .map(|i| Bfs {
-                source: i == 0,
-                dist: None,
-            })
-            .collect();
-        let mut sim = Simulator::with_config(&g, nodes, EngineConfig::default());
-        let g2 = path(&GenConfig::with_seed(6, 0));
-        sim.add_invariant("pending-sorted", |view| {
-            for q in view.pending {
-                if !q.windows(2).all(|w| w[0].0 <= w[1].0) {
-                    return Err("pending queue unsorted".into());
-                }
-            }
-            Ok(())
-        });
-        let report = sim.run(100).unwrap();
-        let want = bfs_distances(&g2, NodeId(0));
-        for (v, n) in sim.nodes().iter().enumerate() {
-            assert_eq!(n.dist, Some(want[v]));
-        }
-        assert!(report.rounds > 0);
     }
 }

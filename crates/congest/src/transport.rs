@@ -73,7 +73,7 @@ pub const MAX_FRAME_WORDS: u32 = 1 << 24;
 
 /// Environment knob naming the handshake/heartbeat deadline in
 /// milliseconds (default 5000). Read through the fail-fast
-/// [`knob`](kdom_graph::knob) layer: a malformed value aborts with the
+/// [`knob`](mod@kdom_graph::knob) layer: a malformed value aborts with the
 /// variable name and offending text instead of being silently ignored.
 pub const NET_TIMEOUT_ENV: &str = "KDOM_NET_TIMEOUT_MS";
 
@@ -378,7 +378,7 @@ impl Write for Conn {
 }
 
 // ---------------------------------------------------------------------------
-// Sharding and handshake identity
+// Sharding
 // ---------------------------------------------------------------------------
 
 /// Contiguous node ranges for `shards` workers over `n` nodes: worker
@@ -387,16 +387,6 @@ impl Write for Conn {
 pub fn shard_bounds(n: usize, shards: usize) -> Vec<usize> {
     assert!(shards > 0, "at least one shard");
     (0..=shards).map(|s| s * n / shards).collect()
-}
-
-/// Fingerprint of a graph's full topology, used by the handshake so a
-/// worker generated from different parameters (or a different generator
-/// seed) is rejected up front instead of silently desynchronizing
-/// mid-run. Now an alias for the canonical [`Graph::fingerprint`] — the
-/// same value keys the result cache, so a cache entry and a transport
-/// handshake always agree on graph identity.
-pub fn graph_fingerprint(g: &Graph) -> u64 {
-    g.fingerprint()
 }
 
 // ---------------------------------------------------------------------------
@@ -504,7 +494,10 @@ pub enum Ctl {
         shard: u32,
         /// How many shards the worker believes exist.
         shards: u32,
-        /// The worker's [`graph_fingerprint`] of its graph copy.
+        /// The worker's [`Graph::fingerprint`] of its graph copy: a worker
+        /// generated from different parameters (or a different generator
+        /// seed) is rejected up front instead of desynchronizing mid-run,
+        /// and the same value keys the result cache.
         graph_hash: u64,
         /// The engine fixed-memory constant for the worker's protocol
         /// type (workers must agree; the coordinator cannot compute it
@@ -976,7 +969,7 @@ pub fn run_worker<P: Protocol>(
             version: TRANSPORT_VERSION,
             shard: opts.shard as u32,
             shards: opts.shards as u32,
-            graph_hash: graph_fingerprint(graph),
+            graph_hash: graph.fingerprint(),
             fixed_mem: fixed_memory::<P>(graph),
             staged_bytes: staged_bytes::<P>(),
             done: nodes.iter().map(Protocol::is_done).collect(),
@@ -1464,7 +1457,7 @@ pub fn coordinate(
         sends: Vec::new(),
         outcomes: Vec::new(),
     };
-    core.run(&mut fleet, u64::MAX, opts.max_rounds, None)?;
+    core.run(&mut fleet, opts.max_rounds)?;
 
     // Harvest.
     let mut outputs = Vec::with_capacity(n);
@@ -1525,7 +1518,7 @@ fn accept_workers(
         })?;
     let mut slots: Vec<Option<HelloLink>> = (0..opts.shards).map(|_| None).collect();
     let mut filled = 0usize;
-    let expect_hash = graph_fingerprint(graph);
+    let expect_hash = graph.fingerprint();
     while filled < opts.shards {
         let conn = match listener.accept() {
             Ok(c) => c,
@@ -1848,16 +1841,5 @@ mod tests {
                 "{end} left Nagle on"
             );
         }
-    }
-
-    #[test]
-    fn graph_fingerprint_separates_topologies() {
-        use kdom_graph::generators::Family;
-        let a = Family::Grid.generate(16, 1);
-        let b = Family::Grid.generate(16, 2);
-        let c = Family::Grid.generate(25, 1);
-        assert_eq!(graph_fingerprint(&a), graph_fingerprint(&a));
-        assert_ne!(graph_fingerprint(&a), graph_fingerprint(&b));
-        assert_ne!(graph_fingerprint(&a), graph_fingerprint(&c));
     }
 }

@@ -504,9 +504,23 @@ mod tests {
     #[test]
     fn epoch_driver_chains_refixups() {
         let g = Family::Gnp.generate(40, 11);
+        let plan = two_epoch_plan(&g);
+        let out = run_fragment_epochs(&g, &plan, 3, &Executor::default()).unwrap();
+        assert_eq!(out.len(), 3);
+        for o in &out {
+            // every epoch's output verifies against the oracle
+            let oracle = simple_mst_forest(&o.graph, 3);
+            assert!(matches_oracle(&o.fragments, &oracle));
+        }
+        assert_eq!(out[2].graph.node_count(), g.node_count() + 1);
+    }
+
+    /// Two epochs on `g`: a weight change that makes edge 1 the
+    /// heaviest, then a join wired to nodes 0 and 1.
+    fn two_epoch_plan(g: &Graph) -> FaultPlan {
         let max_w = g.edges().iter().map(|x| x.weight).max().unwrap();
         let e0 = &g.edges()[1];
-        let plan = FaultPlan::new(0)
+        FaultPlan::new(0)
             .epoch(
                 5,
                 vec![ChurnEvent::EdgeWeightChange {
@@ -524,15 +538,39 @@ mod tests {
                         (g.id_of(NodeId(1)), max_w + 3),
                     ],
                 }],
-            );
-        let out = run_fragment_epochs(&g, &plan, 3, &Executor::default()).unwrap();
-        assert_eq!(out.len(), 3);
-        for o in &out {
-            // every epoch's output verifies against the oracle
-            let oracle = simple_mst_forest(&o.graph, 3);
-            assert!(matches_oracle(&o.fragments, &oracle));
-        }
-        assert_eq!(out[2].graph.node_count(), g.node_count() + 1);
+            )
+    }
+
+    /// The trace of `run_fragment_epochs` passes the validator, whose
+    /// scope audit checks every incremental refixup claim against the
+    /// recovery run after it.
+    #[test]
+    fn fragment_epochs_trace_passes_the_scope_audit() {
+        use kdom_congest::trace::{validate_str, with_thread_trace, ThreadTrace};
+        let g = Family::Gnp.generate(40, 11);
+        let plan = two_epoch_plan(&g);
+        let sink = kdom_congest::MemorySink::new();
+        with_thread_trace(ThreadTrace::Capture(sink.clone()), || {
+            run_fragment_epochs(&g, &plan, 3, &Executor::default()).unwrap()
+        });
+        let sum = validate_str(&sink.to_jsonl(), None).unwrap();
+        let events: usize = plan.epochs.iter().map(|e| e.events.len()).sum();
+        assert_eq!(sum.churn_events, events as u64);
+        assert!(sum.refixups >= 1, "no refixup decision was traced");
+    }
+
+    #[test]
+    fn fragment_epochs_return_the_churn_error_of_a_stale_epoch() {
+        // every grid edge lies on a 4-cycle: removing one keeps the
+        // graph connected
+        let g = Family::Grid.generate(16, 1);
+        let e = &g.edges()[0];
+        let (a, b) = (g.id_of(e.u), g.id_of(e.v));
+        let plan = FaultPlan::new(0)
+            .epoch(5, vec![ChurnEvent::EdgeRemove { a, b }])
+            .epoch(9, vec![ChurnEvent::EdgeRemove { a, b }]);
+        let err = run_fragment_epochs(&g, &plan, 3, &Executor::default()).unwrap_err();
+        assert_eq!(err, ChurnError::UnknownEdge { a, b });
     }
 
     #[test]

@@ -109,8 +109,7 @@ impl std::error::Error for VerifyError {}
 /// Checks that `dominators` is a k-dominating set of `g` (every node
 /// within hop distance `k` of some dominator).
 ///
-/// The multi-source BFS worker count comes from
-/// [`oracle_threads`](kdom_graph::properties::oracle_threads); the
+/// The multi-source BFS worker count comes from [`oracle_threads`]; the
 /// verdict is byte-identical at every thread count.
 ///
 /// # Errors
@@ -260,9 +259,8 @@ pub fn check_spanning_forest(g: &Graph, edges: &[EdgeId], sigma: usize) -> Resul
 /// Checks that every edge in `edges` belongs to the unique MST of `g`
 /// ("each tree of this forest is a fragment of the MST").
 ///
-/// The reference Kruskal's worker count comes from
-/// [`oracle_threads`](kdom_graph::properties::oracle_threads); the
-/// verdict is byte-identical at every thread count.
+/// The reference Kruskal's worker count comes from [`oracle_threads`];
+/// the verdict is byte-identical at every thread count.
 ///
 /// # Errors
 ///

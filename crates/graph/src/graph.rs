@@ -606,6 +606,11 @@ mod tests {
         renamed.add_edge(NodeId(2), NodeId(0), 9);
         renamed.ids(vec![10, 11, 12]);
         assert_ne!(g.fingerprint(), renamed.build().fingerprint());
+
+        // the same family and seed at another size differs in node count
+        let small = crate::generators::Family::Grid.generate(16, 1);
+        let large = crate::generators::Family::Grid.generate(25, 1);
+        assert_ne!(small.fingerprint(), large.fingerprint());
     }
 
     /// Asserts every arc's recorded twin against a scan of the other

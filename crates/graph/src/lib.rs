@@ -13,7 +13,7 @@
 //! * a disjoint-set union used by the sequential MST algorithms and by the
 //!   red-rule verifiers ([`dsu`]);
 //! * fail-fast parsing of `KDOM_*` environment knobs, shared by every
-//!   layer above ([`knob`]);
+//!   layer above ([`knob`](mod@knob));
 //! * sequential reference MST algorithms (Kruskal, Prim) against which the
 //!   distributed algorithms are validated ([`mst_ref`]).
 //!

@@ -15,8 +15,7 @@ const PAR_EDGES_MIN: usize = 1 << 13;
 /// Kruskal's algorithm. Returns the MST edge ids (a minimum spanning
 /// *forest* if the graph is disconnected), sorted by weight.
 ///
-/// Worker count for the edge sort comes from
-/// [`oracle_threads`](crate::properties::oracle_threads); see
+/// Worker count for the edge sort comes from [`oracle_threads`]; see
 /// [`kruskal_with_threads`] for an explicit count.
 pub fn kruskal(g: &Graph) -> Vec<EdgeId> {
     kruskal_with_threads(g, oracle_threads())

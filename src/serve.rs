@@ -4,8 +4,9 @@
 //! result cache) plus a registry of graphs keyed by
 //! [`Graph::fingerprint`]. Clients install graphs (generated from a
 //! `FAMILY:N:SEED` spec or uploaded edge-by-edge), submit single jobs or
-//! whole sweeps, wait for byte-exact [`JobOutput`]s, stream per-job
-//! JSONL trace events, and read scheduler/cache statistics.
+//! whole sweeps, wait for byte-exact
+//! [`JobOutput`](kdom_congest::JobOutput)s, stream per-job JSONL trace
+//! events, and read scheduler/cache statistics.
 //!
 //! ## Wire protocol
 //!

@@ -20,8 +20,8 @@
 use std::collections::HashMap;
 
 use kdom::congest::{
-    apply_churn, gen_schedule, gen_schedule_with_mix, shrink, ChaosConfig, ChaosSchedule,
-    ChurnEvent, EngineConfig, EventMix, FaultPlan,
+    apply_churn, gen_schedule, shrink, ChaosConfig, ChaosSchedule, ChurnEvent, EngineConfig,
+    EventMix, FaultPlan,
 };
 use kdom::core::dist::executor::Executor;
 use kdom::core::dist::fragments::{run_simple_mst, DistFragments};
@@ -194,7 +194,7 @@ fn fifty_seeded_schedules_survive_churn_on_every_leg() {
     let mut total_events = 0usize;
     let mut incremental = 0usize;
     for i in 0..cfg.schedules as u64 {
-        let sched = gen_schedule(&base, &cfg, cfg.seed + i);
+        let sched = gen_schedule(&base, &cfg, cfg.seed + i, EventMix::Full);
         total_events += sched.event_count();
         let outcomes = run_and_check(&base, &sched, k);
         incremental += outcomes.iter().filter(|o| !o.full_restart).count();
@@ -221,7 +221,7 @@ fn incremental_refixup_matches_full_restart() {
     let exec = Executor::Sync(EngineConfig::default().with_threads(1));
     let mut compared = 0usize;
     for i in 0..cfg.schedules as u64 {
-        let sched = gen_schedule(&base, &cfg, cfg.seed ^ (i << 8));
+        let sched = gen_schedule(&base, &cfg, cfg.seed ^ (i << 8), EventMix::Full);
         let outcomes = run_fragment_epochs(&base, &sched.plan, k, &exec)
             .expect("generated schedules apply by construction");
         for (e, o) in outcomes.iter().enumerate().skip(1) {
@@ -277,7 +277,7 @@ fn shrinker_reduces_failing_100_event_schedule_to_five_events() {
         events_per_epoch: 3,
         ..ChaosConfig::default()
     };
-    let sched = gen_schedule(&base, &cfg, 0xFA11);
+    let sched = gen_schedule(&base, &cfg, 0xFA11, EventMix::Full);
     assert!(
         sched.event_count() >= 100,
         "need a ≥100-event schedule to shrink, got {}",
@@ -327,7 +327,7 @@ fn partition1_weight_only_churn_is_a_certified_noop() {
     let k = 3;
     for seed in 0..8u64 {
         let base = Family::RandomTree.generate(50, seed + 1);
-        let sched = gen_schedule_with_mix(&base, &cfg, 0xBEE5 + seed, EventMix::WeightOnly);
+        let sched = gen_schedule(&base, &cfg, 0xBEE5 + seed, EventMix::WeightOnly);
         let (nodes, _) = run_partition1(&base, NodeId(0), k);
         let mut clusters: Vec<u64> = nodes.iter().map(|x| x.cluster).collect();
         let mut centers: Vec<bool> = nodes.iter().map(|x| x.is_center).collect();
@@ -400,7 +400,7 @@ fn chaos_nightly() {
     let base = Family::Gnp.generate(32, cfg.seed ^ 0x9E37);
     let k = 2;
     for i in 0..cfg.schedules as u64 {
-        let sched = gen_schedule(&base, &cfg, cfg.seed + i);
+        let sched = gen_schedule(&base, &cfg, cfg.seed + i, EventMix::Full);
         let outcome = std::panic::catch_unwind(|| run_and_check(&base, &sched, k));
         let Err(panic) = outcome else { continue };
         let msg = panic
