@@ -99,6 +99,10 @@ pub struct ClusterEngine<'g> {
     /// Local node → cluster index.
     cluster_of: Vec<usize>,
     clusters: Vec<Cluster>,
+    /// Local node → depth below its cluster's center, inside the cluster.
+    /// Current for every live cluster: a merge recomputes its cluster's
+    /// depths, an attach sets only the attached child's.
+    depth: Vec<u32>,
 }
 
 impl<'g> ClusterEngine<'g> {
@@ -111,19 +115,23 @@ impl<'g> ClusterEngine<'g> {
     /// Panics if an edge endpoint is outside `nodes` or the edges contain
     /// a cycle.
     pub fn new(g: &'g Graph, nodes: Vec<NodeId>, tree_edges: &[(NodeId, NodeId)]) -> Self {
-        let mut local = vec![usize::MAX; g.node_count()];
-        for (i, &v) in nodes.iter().enumerate() {
-            assert_eq!(local[v.0], usize::MAX, "duplicate node {v:?} in scope");
-            local[v.0] = i;
+        // (node, local index) sorted by node: O(scope) memory, where a
+        // node-indexed table would cost O(n) for every fragment
+        let mut local: Vec<(NodeId, usize)> = nodes.iter().copied().zip(0..).collect();
+        local.sort_unstable();
+        if let Some(w) = local.windows(2).find(|w| w[0].0 == w[1].0) {
+            panic!("duplicate node {:?} in scope", w[0].0);
         }
+        let local_of = |v: NodeId| {
+            local
+                .binary_search_by_key(&v, |&(x, _)| x)
+                .map(|i| local[i].1)
+                .expect("edge endpoint outside scope")
+        };
         let mut adj = vec![Vec::new(); nodes.len()];
         let mut dsu = kdom_graph::Dsu::new(nodes.len());
         for &(u, v) in tree_edges {
-            let (lu, lv) = (local[u.0], local[v.0]);
-            assert!(
-                lu != usize::MAX && lv != usize::MAX,
-                "edge endpoint outside scope"
-            );
+            let (lu, lv) = (local_of(u), local_of(v));
             assert!(
                 dsu.union(NodeId(lu), NodeId(lv)),
                 "tree_edges contain a cycle"
@@ -146,6 +154,7 @@ impl<'g> ClusterEngine<'g> {
             adj,
             cluster_of: (0..n).collect(),
             clusters,
+            depth: vec![0; n],
         }
     }
 
@@ -195,47 +204,55 @@ impl<'g> ClusterEngine<'g> {
         self.nodes[self.clusters[c].center]
     }
 
-    /// Distinct live neighbor clusters of `c` (via tree edges).
+    /// Distinct live neighbor clusters of `c` (via tree edges), in order
+    /// of first appearance over `c`'s members and their tree arcs.
     pub fn neighbor_clusters(&self, c: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        for &m in &self.clusters[c].members {
-            for &w in &self.adj[m] {
-                let cw = self.cluster_of[w];
-                if cw != c && !out.contains(&cw) {
-                    out.push(cw);
-                }
-            }
-        }
-        out
+        // (cluster, position) of every boundary arc; sorting dedupes in
+        // O(d log d), where a scan of the output per arc is O(d²) at a hub
+        let mut arcs: Vec<(usize, usize)> = self.clusters[c]
+            .members
+            .iter()
+            .flat_map(|&m| &self.adj[m])
+            .map(|&w| self.cluster_of[w])
+            .filter(|&cw| cw != c)
+            .zip(0..)
+            .collect();
+        arcs.sort_unstable();
+        arcs.dedup_by_key(|&mut (cw, _)| cw);
+        arcs.sort_unstable_by_key(|&(_, at)| at);
+        arcs.into_iter().map(|(cw, _)| cw).collect()
     }
 
-    /// BFS depths from the center of `c` restricted to its members
-    /// (indexed by local node id; `u32::MAX` outside the cluster).
-    fn depths_in(&self, c: usize) -> Vec<u32> {
-        let mut depth = vec![u32::MAX; self.nodes.len()];
-        let start = self.clusters[c].center;
-        depth[start] = 0;
-        let mut q = VecDeque::from([start]);
-        while let Some(u) = q.pop_front() {
+    /// BFS from `start`, at depth `d0`, through the members of `c`,
+    /// setting each reached node's depth; returns how many nodes it
+    /// reached and the deepest depth. The tree edges form a forest, so a
+    /// BFS that never steps back to the node it came from reaches each
+    /// node once and needs no visited set.
+    fn set_depths(&mut self, c: usize, start: usize, d0: u32) -> (usize, u32) {
+        self.depth[start] = d0;
+        let (mut reached, mut deepest) = (1, d0);
+        let mut q = VecDeque::from([(start, usize::MAX)]);
+        while let Some((u, from)) = q.pop_front() {
+            let d = self.depth[u] + 1;
             for &w in &self.adj[u] {
-                if self.cluster_of[w] == c && depth[w] == u32::MAX {
-                    depth[w] = depth[u] + 1;
-                    q.push_back(w);
+                if w != from && self.cluster_of[w] == c {
+                    self.depth[w] = d;
+                    deepest = d;
+                    reached += 1;
+                    q.push_back((w, u));
                 }
             }
         }
-        depth
+        (reached, deepest)
     }
 
     fn recompute_radius(&mut self, c: usize) {
-        let depths = self.depths_in(c);
-        let r = self.clusters[c]
-            .members
-            .iter()
-            .map(|&m| depths[m])
-            .max()
-            .unwrap_or(0);
-        assert_ne!(r, u32::MAX, "cluster {c} is disconnected");
+        let (reached, r) = self.set_depths(c, self.clusters[c].center, 0);
+        assert_eq!(
+            reached,
+            self.clusters[c].members.len(),
+            "cluster {c} is disconnected"
+        );
         self.clusters[c].radius = r;
     }
 
@@ -248,14 +265,13 @@ impl<'g> ClusterEngine<'g> {
             .enumerate()
             .map(|(i, &c)| (c, i))
             .collect();
-        // virtual adjacency among participants
+        // virtual adjacency among participants; neighbor clusters are
+        // distinct, so their slots are too
         let mut vadj: Vec<Vec<usize>> = vec![Vec::new(); participants.len()];
         for (i, &c) in participants.iter().enumerate() {
             for nc in self.neighbor_clusters(c) {
                 if let Some(&j) = slot_of.get(&nc) {
-                    if !vadj[i].contains(&j) {
-                        vadj[i].push(j);
-                    }
+                    vadj[i].push(j);
                 }
             }
         }
@@ -291,14 +307,13 @@ impl<'g> ClusterEngine<'g> {
                 .copied()
                 .min_by_key(|&m| self.g.id_of(self.center(participants[m])))
                 .expect("non-empty component");
+            // in_play doubles as the visited set: it is still false on
+            // this component, which no earlier BFS reached
             let mut q = VecDeque::from([root]);
-            let mut seen = vec![false; participants.len()];
-            seen[root] = true;
             in_play[root] = true;
             while let Some(u) = q.pop_front() {
                 for &w in &vadj[u] {
-                    if !seen[w] {
-                        seen[w] = true;
+                    if !in_play[w] {
                         in_play[w] = true;
                         parent[w] = Some(u);
                         q.push_back(w);
@@ -354,22 +369,22 @@ impl<'g> ClusterEngine<'g> {
         for (dom_slot, group) in grouped {
             let dom_cluster = participants[playing[dom_slot]];
             let center = self.clusters[dom_cluster].center;
+            let new_id = self.clusters.len();
             let mut members = Vec::new();
             for &s in &group {
                 let c = participants[s];
-                members.extend(self.clusters[c].members.iter().copied());
+                for &m in &self.clusters[c].members {
+                    self.cluster_of[m] = new_id;
+                }
+                members.extend_from_slice(&self.clusters[c].members);
                 self.clusters[c].state = ClusterState::Dead;
             }
-            let new_id = self.clusters.len();
             self.clusters.push(Cluster {
                 center,
                 members,
                 radius: 0,
                 state: ClusterState::Forest,
             });
-            for &m in &self.clusters[new_id].members.clone() {
-                self.cluster_of[m] = new_id;
-            }
             self.recompute_radius(new_id);
             merged.push(new_id);
         }
@@ -391,9 +406,23 @@ impl<'g> ClusterEngine<'g> {
     ///
     /// Panics if the two clusters are not adjacent via a tree edge.
     pub fn attach(&mut self, child: usize, host: usize) {
-        assert!(
-            self.neighbor_clusters(child).contains(&host),
-            "attach requires adjacent clusters"
+        // two clusters of a forest share at most one tree edge, so the
+        // host's depths stand and the child hangs below this contact
+        let (contact, outside) = self.clusters[child]
+            .members
+            .iter()
+            .find_map(|&m| {
+                self.adj[m]
+                    .iter()
+                    .find(|&&w| self.cluster_of[w] == host)
+                    .map(|&w| (m, w))
+            })
+            .expect("attach requires adjacent clusters");
+        let (reached, deepest) = self.set_depths(child, contact, self.depth[outside] + 1);
+        assert_eq!(
+            reached,
+            self.clusters[child].members.len(),
+            "cluster {child} is disconnected"
         );
         let members = std::mem::take(&mut self.clusters[child].members);
         for &m in &members {
@@ -401,26 +430,21 @@ impl<'g> ClusterEngine<'g> {
         }
         self.clusters[host].members.extend(members);
         self.clusters[child].state = ClusterState::Dead;
-        self.recompute_radius(host);
+        let radius = &mut self.clusters[host].radius;
+        *radius = (*radius).max(deepest);
     }
 
     /// Depth (distance from `host`'s center) of the shallowest node of
     /// `host` adjacent to `child`, or `None` if not adjacent. This is the
     /// `Depth(w)` test of step (3-IV).
     pub fn shallowest_contact(&self, host: usize, child: usize) -> Option<u32> {
-        let depths = self.depths_in(host);
-        let mut best = None;
-        for &m in &self.clusters[child].members {
-            for &w in &self.adj[m] {
-                if self.cluster_of[w] == host {
-                    let d = depths[w];
-                    if best.is_none_or(|b| d < b) {
-                        best = Some(d);
-                    }
-                }
-            }
-        }
-        best
+        self.clusters[child]
+            .members
+            .iter()
+            .flat_map(|&m| &self.adj[m])
+            .filter(|&&w| self.cluster_of[w] == host)
+            .map(|&w| self.depth[w])
+            .min()
     }
 
     /// Final extraction: clusters in `states`, as (center, members) pairs
@@ -444,17 +468,11 @@ impl<'g> ClusterEngine<'g> {
     /// given states.
     pub fn covers_scope(&self, states: &[ClusterState]) -> bool {
         let mut seen = vec![false; self.nodes.len()];
-        for (_, members) in self.extract(states) {
-            for v in members {
-                let l = self
-                    .nodes
-                    .iter()
-                    .position(|&x| x == v)
-                    .expect("member inside scope");
-                if seen[l] {
+        for cluster in self.clusters.iter().filter(|c| states.contains(&c.state)) {
+            for &m in &cluster.members {
+                if std::mem::replace(&mut seen[m], true) {
                     return false;
                 }
-                seen[l] = true;
             }
         }
         seen.into_iter().all(|s| s)

@@ -262,18 +262,12 @@ pub fn dom_partition(
         }
         // (3-IV) lone participants merge onto a waiting neighbor with a
         // contact of depth ≤ k, or drop to S
-        let lone: Vec<usize> = participants
-            .iter()
-            .copied()
-            .filter(|&c| {
+        let (lone, participants): (Vec<usize>, Vec<usize>) =
+            participants.into_iter().partition(|&c| {
                 eng.neighbor_clusters(c)
                     .iter()
                     .all(|&h| eng.state(h) != ClusterState::Forest)
-            })
-            .collect();
-        for c in &lone {
-            participants.retain(|x| x != c);
-        }
+            });
         if !lone.is_empty() {
             charge.flat(2 * (k as u64) + 3);
         }
@@ -470,6 +464,67 @@ mod tests {
         let res = dom_partition(&g, nodes, &edges, 7);
         assert_eq!(res.cluster_count(), 1);
         check(&g, &res, 7, 5 * 7 + 2);
+    }
+
+    /// FNV-1a over a run's clusters (center, size, members in order), its
+    /// charge ledger and its iteration count.
+    fn result_hash(res: &PartitionResult) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |x: u64| h = (h ^ x).wrapping_mul(0x100_0000_01b3);
+        for (center, members) in &res.clusters {
+            mix(center.0 as u64);
+            mix(members.len() as u64);
+            members.iter().for_each(|v| mix(v.0 as u64));
+        }
+        mix(res.charge.rounds);
+        mix(res.charge.virtual_rounds);
+        mix(res.charge.cv_iterations);
+        mix(u64::from(res.iterations));
+        h
+    }
+
+    /// `(hash, charged rounds)` of all three variants on `tree` at `k`.
+    fn pinned(g: &Graph, tree: &[(NodeId, NodeId)], k: usize) -> Vec<(u64, u64)> {
+        let nodes: Vec<NodeId> = g.nodes().collect();
+        [
+            dom_partition_1(g, nodes.clone(), tree, k),
+            dom_partition_2(g, nodes.clone(), tree, k),
+            dom_partition(g, nodes, tree, k),
+        ]
+        .iter()
+        .map(|r| (result_hash(r), r.charge.rounds))
+        .collect()
+    }
+
+    /// Pins all three variants on the MST of a connected G(6000, 12000)
+    /// with k = ⌈√n⌉ (the Fast-MST setting), and on a 6000-node broom
+    /// whose hub has 3000 leaves: clusters, member order and charges
+    /// must stay exactly as recorded.
+    #[test]
+    fn partitions_of_6000_node_trees_reproduce_recorded_runs() {
+        let g = kdom_graph::generators::gnm_connected(&GenConfig::with_seed(6000, 3), 12_000);
+        let mst: Vec<(NodeId, NodeId)> = kdom_graph::mst_ref::kruskal(&g)
+            .into_iter()
+            .map(|e| (g.edge(e).u, g.edge(e).v))
+            .collect();
+        assert_eq!(
+            pinned(&g, &mst, 78),
+            [
+                (0xd084_b188_af81_033e, 4408),
+                (0xadf3_4a71_e2dd_cbb9, 5219),
+                (0x5d36_1f9b_3b05_0710, 5254),
+            ]
+        );
+        let hub = broom(&GenConfig::with_seed(6000, 4), 3000);
+        let (_, edges) = scope(&hub);
+        assert_eq!(
+            pinned(&hub, &edges, 78),
+            [
+                (0x3070_4a3f_3653_bbc8, 12_709),
+                (0x156d_1e95_98e0_fad9, 5617),
+                (0x8b30_a7e6_dabb_dd33, 5812),
+            ]
+        );
     }
 
     #[test]

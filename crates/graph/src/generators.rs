@@ -3,7 +3,24 @@
 //! All generators produce graphs with **pairwise-distinct edge weights** and
 //! **pairwise-distinct node identifiers**, the paper's standing assumptions.
 //! Randomized generators are driven by a seed ([`GenConfig::seed`]) so every
-//! experiment is reproducible.
+//! experiment is reproducible: a seed fixes every RNG draw, hence the
+//! byte-identical graph and its [`Graph::fingerprint`].
+//!
+//! ## Cost
+//!
+//! Every generator runs in `O(n + m)` time and memory, except:
+//! - [`gnp_connected`]: `Θ(n²)` time, one `random_bool` draw per node
+//!   pair (the seed contract fixes the draw sequence), in `O(n + m)`
+//!   memory;
+//! - [`gnm_connected`] and [`random_connected`]: expected `O(n + m)`
+//!   while `m` stays a constant fraction below `n(n-1)/2`; rejection
+//!   sampling slows as the graph approaches complete;
+//! - [`expanderish`]: `O(d·n)` per attempt, retried until connected.
+//!
+//! Distinctness checks (edge pairs, node ids, weights) use a private
+//! open-addressing set of `u64` keys or a bitset, never a per-element
+//! SipHash set, and [`Graph::from_edges`] builds the CSR in one linear
+//! pass plus one linear parallel-edge check.
 
 use kdom_rng::StdRng;
 
@@ -38,7 +55,7 @@ fn distinct_weights(m: usize, rng: &mut StdRng) -> Vec<u64> {
 /// realistic id entropy.
 fn random_ids(n: usize, rng: &mut StdRng) -> Vec<u64> {
     let mut ids = Vec::with_capacity(n);
-    let mut seen = std::collections::HashSet::with_capacity(n);
+    let mut seen = KeySet::with_capacity(n);
     while ids.len() < n {
         let id: u64 = rng.random_range(0..(1u64 << 48));
         if seen.insert(id) {
@@ -46,6 +63,70 @@ fn random_ids(n: usize, rng: &mut StdRng) -> Vec<u64> {
         }
     }
     ids
+}
+
+/// Set of at most a preset number of `u64` keys: open addressing with
+/// linear probing in a power-of-two table at most half full, indexed by
+/// a Fibonacci (multiplicative) hash.
+///
+/// Every key is an output of the seeded xoshiro stream — a drawn node
+/// id, or a pair of drawn node indices — and never bytes from a client,
+/// so no adversary can choose colliding keys; keys from outside the
+/// program belong in a `std` set with its randomized default hasher.
+struct KeySet {
+    slots: Vec<u64>,
+    /// `64 - log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    len: usize,
+}
+
+impl KeySet {
+    /// Marks a free slot; no id (< 2^48) or pair key equals it.
+    const EMPTY: u64 = u64::MAX;
+
+    /// A set for up to `keys` keys.
+    fn with_capacity(keys: usize) -> KeySet {
+        let size = (2 * keys).next_power_of_two().max(16);
+        KeySet {
+            slots: vec![Self::EMPTY; size],
+            shift: 64 - size.trailing_zeros(),
+            len: 0,
+        }
+    }
+
+    /// A set for up to `pairs` node pairs over `n < 2^32` nodes.
+    fn for_pairs(n: usize, pairs: usize) -> KeySet {
+        assert!(
+            (n as u64) < 1 << 32,
+            "pair keys pack two node indices below 2^32; n = {n}"
+        );
+        KeySet::with_capacity(pairs)
+    }
+
+    /// Inserts the unordered pair `{a, b}` as `min << 32 | max`; whether
+    /// it was new.
+    fn insert_pair(&mut self, a: usize, b: usize) -> bool {
+        self.insert((a.min(b) as u64) << 32 | a.max(b) as u64)
+    }
+
+    /// Inserts `key`; whether it was new.
+    fn insert(&mut self, key: u64) -> bool {
+        debug_assert_ne!(key, Self::EMPTY, "the empty marker is not a key");
+        debug_assert!(2 * self.len < self.slots.len(), "more keys than sized for");
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            match self.slots[i] {
+                Self::EMPTY => {
+                    self.slots[i] = key;
+                    self.len += 1;
+                    return true;
+                }
+                k if k == key => return false,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
 }
 
 /// Assigns random distinct weights/ids to a prepared edge list.
@@ -236,6 +317,10 @@ pub fn grid(rows: usize, cols: usize, seed: u64) -> Graph {
 /// spanning tree skeleton is added first, then every remaining pair
 /// independently with probability `p`.
 ///
+/// Takes `Θ(n²)` time whatever `p`: the seed contract draws one
+/// `random_bool` per non-tree pair, in row-major order. Memory is
+/// `O(n + m)`: the row scan skips the tree pairs from a sorted list.
+///
 /// # Panics
 ///
 /// Panics if `n == 0` or `p` is not in `[0, 1]`.
@@ -246,18 +331,19 @@ pub fn gnp_connected(cfg: &GenConfig, p: f64) -> Graph {
     // Random-permutation recursive-tree skeleton keeps the graph connected.
     let mut perm: Vec<usize> = (0..cfg.n).collect();
     rng.shuffle(&mut perm);
-    let mut present = vec![vec![false; cfg.n]; cfg.n];
     let mut edges = Vec::new();
     for i in 1..cfg.n {
         let a = perm[i];
         let b = perm[rng.random_range(0..i)];
-        present[a][b] = true;
-        present[b][a] = true;
         edges.push((a, b));
     }
-    for (u, row) in present.iter().enumerate() {
-        for (v, &p_uv) in row.iter().enumerate().skip(u + 1) {
-            if !p_uv && rng.random_bool(p) {
+    // the tree pairs as (min, max), in the row-major order of the scan
+    let mut tree: Vec<(usize, usize)> = edges.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+    tree.sort_unstable();
+    let mut tree = tree.into_iter().peekable();
+    for u in 0..cfg.n {
+        for v in u + 1..cfg.n {
+            if tree.next_if_eq(&(u, v)).is_none() && rng.random_bool(p) {
                 edges.push((u, v));
             }
         }
@@ -266,42 +352,14 @@ pub fn gnp_connected(cfg: &GenConfig, p: f64) -> Graph {
 }
 
 /// Connected graph with exactly `m` edges (`n-1 ≤ m ≤ n(n-1)/2`): a random
-/// spanning tree plus `m - n + 1` random extra edges.
+/// spanning tree plus `m - n + 1` random extra edges. The same graph,
+/// seed for seed, as [`gnm_connected`], which builds it.
 ///
 /// # Panics
 ///
 /// Panics if `m` is out of range.
 pub fn random_connected(cfg: &GenConfig, m: usize) -> Graph {
-    let n = cfg.n;
-    assert!(n > 0);
-    let max_m = n * (n - 1) / 2;
-    assert!(
-        m + 1 >= n && m <= max_m,
-        "m out of range for connected graph"
-    );
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut perm: Vec<usize> = (0..n).collect();
-    rng.shuffle(&mut perm);
-    let mut present = std::collections::HashSet::new();
-    let mut edges = Vec::new();
-    for i in 1..n {
-        let a = perm[i];
-        let b = perm[rng.random_range(0..i)];
-        present.insert((a.min(b), a.max(b)));
-        edges.push((a, b));
-    }
-    while edges.len() < m {
-        let u = rng.random_range(0..n);
-        let v = rng.random_range(0..n);
-        if u == v {
-            continue;
-        }
-        let key = (u.min(v), u.max(v));
-        if present.insert(key) {
-            edges.push((u, v));
-        }
-    }
-    assemble(n, &edges, &mut rng)
+    gnm_connected(cfg, m)
 }
 
 /// `d`-dimensional hypercube (`n = 2^d` nodes, diameter `d`).
@@ -357,14 +415,14 @@ pub fn random_regular(cfg: &GenConfig, d: usize) -> Graph {
     assert!(d >= 2 && d.is_multiple_of(2), "degree must be even and ≥ 2");
     let n = cfg.n;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut present = std::collections::HashSet::with_capacity(n * d / 2);
+    let mut present = KeySet::for_pairs(n, n * d / 2);
     let mut edges: Vec<EdgeRef> = Vec::with_capacity(n * d / 2);
     let mut perm: Vec<usize> = (0..n).collect();
     for _ in 0..d / 2 {
         rng.shuffle(&mut perm);
         for i in 0..n {
             let (a, b) = (perm[i], perm[(i + 1) % n]);
-            if present.insert((a.min(b), a.max(b))) {
+            if present.insert_pair(a, b) {
                 edges.push(EdgeRef {
                     id: EdgeId(edges.len()),
                     u: NodeId(a),
@@ -379,9 +437,8 @@ pub fn random_regular(cfg: &GenConfig, d: usize) -> Graph {
 
 /// Streaming `G(n, m)` conditioned on connectivity: a random-permutation
 /// recursive-tree skeleton plus `m - n + 1` distinct random extra
-/// edges, written straight into the graph's edge array (contrast
-/// [`random_connected`], which it supersedes at scale — no `n × n`
-/// structures, no intermediate pair list, usable at 10^6 nodes).
+/// edges, written straight into the graph's edge array — no `n × n`
+/// structures, no intermediate pair list, usable at 10^6 nodes.
 ///
 /// # Panics
 ///
@@ -397,7 +454,7 @@ pub fn gnm_connected(cfg: &GenConfig, m: usize) -> Graph {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut perm: Vec<usize> = (0..n).collect();
     rng.shuffle(&mut perm);
-    let mut present = std::collections::HashSet::with_capacity(m);
+    let mut present = KeySet::for_pairs(n, m);
     let mut edges: Vec<EdgeRef> = Vec::with_capacity(m);
     let push = |edges: &mut Vec<EdgeRef>, a: usize, b: usize| {
         edges.push(EdgeRef {
@@ -410,7 +467,7 @@ pub fn gnm_connected(cfg: &GenConfig, m: usize) -> Graph {
     for i in 1..n {
         let a = perm[i];
         let b = perm[rng.random_range(0..i)];
-        present.insert((a.min(b), a.max(b)));
+        present.insert_pair(a, b);
         push(&mut edges, a, b);
     }
     while edges.len() < m {
@@ -419,7 +476,7 @@ pub fn gnm_connected(cfg: &GenConfig, m: usize) -> Graph {
         if u == v {
             continue;
         }
-        if present.insert((u.min(v), u.max(v))) {
+        if present.insert_pair(u, v) {
             push(&mut edges, u, v);
         }
     }
@@ -438,14 +495,14 @@ pub fn expanderish(cfg: &GenConfig, d: usize) -> Graph {
     assert!(cfg.n >= 4 && d >= 2);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     for _attempt in 0..64 {
-        let mut present = std::collections::HashSet::new();
+        let mut present = KeySet::for_pairs(cfg.n, cfg.n * d);
         let mut edges = Vec::new();
         for _ in 0..d {
             let mut perm: Vec<usize> = (0..cfg.n).collect();
             rng.shuffle(&mut perm);
             for i in 0..cfg.n {
                 let (a, b) = (perm[i], perm[(i + 1) % cfg.n]);
-                if a != b && present.insert((a.min(b), a.max(b))) {
+                if a != b && present.insert_pair(a, b) {
                     edges.push((a, b));
                 }
             }

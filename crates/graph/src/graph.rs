@@ -128,37 +128,159 @@ pub struct Graph {
     ids: Vec<u64>,
 }
 
+/// Why [`Graph::try_from_edges`] refused an edge list: the first
+/// violation found, checked in this order — the id count, then each
+/// edge in list order, then every node's degree, then parallel edges.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GraphError {
+    /// The id list does not have one id per node.
+    IdCount {
+        /// The node count.
+        nodes: usize,
+        /// The number of ids given.
+        ids: usize,
+    },
+    /// Edge `index` of the list carries another id than `EdgeId(index)`.
+    NonConsecutiveEdgeId {
+        /// The edge's position in the list.
+        index: usize,
+        /// The id it carries.
+        id: EdgeId,
+    },
+    /// An edge joins a node to itself.
+    SelfLoop {
+        /// The offending edge.
+        edge: EdgeId,
+        /// Its one endpoint.
+        node: NodeId,
+    },
+    /// An edge names a node outside `0..nodes`.
+    EndpointOutOfRange {
+        /// The offending edge.
+        edge: EdgeId,
+        /// The out-of-range endpoint.
+        node: NodeId,
+        /// The node count.
+        nodes: usize,
+    },
+    /// A node has more arcs than the `u32` port range holds.
+    DegreeOverflow {
+        /// The node.
+        node: NodeId,
+        /// Its degree.
+        degree: usize,
+    },
+    /// Two edges join the same two nodes.
+    ParallelEdge {
+        /// The smaller endpoint.
+        u: NodeId,
+        /// The larger endpoint.
+        v: NodeId,
+        /// The earlier of the two edges.
+        first: EdgeId,
+        /// The later one.
+        second: EdgeId,
+    },
+}
+
+impl fmt::Display for GraphError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            GraphError::IdCount { nodes, ids } => {
+                write!(f, "one id per node required: {ids} ids for {nodes} nodes")
+            }
+            GraphError::NonConsecutiveEdgeId { index, id } => write!(
+                f,
+                "edge ids must be consecutive: edge {index} carries id {id}"
+            ),
+            GraphError::SelfLoop { edge, node } => write!(
+                f,
+                "self loops are not allowed: edge {edge} joins node {node} to itself"
+            ),
+            GraphError::EndpointOutOfRange { edge, node, nodes } => write!(
+                f,
+                "endpoint out of range: edge {edge} names node {node} of {nodes}"
+            ),
+            GraphError::DegreeOverflow { node, degree } => write!(
+                f,
+                "degree {degree} of node {node} exceeds the u32 port range"
+            ),
+            GraphError::ParallelEdge {
+                u,
+                v,
+                first,
+                second,
+            } => write!(
+                f,
+                "parallel edge {u}-{v}: edges {first} and {second} join the same nodes"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GraphError {}
+
 impl Graph {
     /// Builds a graph directly from a finalized edge list — the CSR
-    /// construction shared by [`GraphBuilder::build`] and the streaming
-    /// generators: count degrees, prefix-sum into offsets, then place
-    /// both arcs of every edge in insertion order (reproducing exactly
-    /// the adjacency order the historical `Vec<Vec<Arc>>` push loop
+    /// construction shared by [`GraphBuilder::build`], the generators and
+    /// uploads — or names the first violation (see [`GraphError`]).
+    ///
+    /// Counts degrees, prefix-sums them into offsets, then places both
+    /// arcs of every edge in insertion order (reproducing exactly the
+    /// adjacency order the historical `Vec<Vec<Arc>>` push loop
     /// produced), recording each arc's twin port as the pair is placed.
+    /// Parallel edges are found afterwards in one pass over the CSR
+    /// ranges, so construction is `O(n + m)` whatever the degrees.
     /// `ids` of `None` default to `0..n`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on self loops, out-of-range endpoints, duplicate
-    /// (parallel) edges, non-consecutive [`EdgeId`]s, a degree beyond
-    /// the `u32` port range, or an id list of the wrong length.
-    pub fn from_edges(n: usize, edges: Vec<EdgeRef>, ids: Option<Vec<u64>>) -> Graph {
+    /// A wrong id count, a non-consecutive [`EdgeId`], a self loop, an
+    /// out-of-range endpoint, a degree beyond the `u32` port range, or a
+    /// parallel edge.
+    pub fn try_from_edges(
+        n: usize,
+        edges: Vec<EdgeRef>,
+        ids: Option<Vec<u64>>,
+    ) -> Result<Graph, GraphError> {
+        let ids = ids.unwrap_or_else(|| (0..n as u64).collect());
+        if ids.len() != n {
+            return Err(GraphError::IdCount {
+                nodes: n,
+                ids: ids.len(),
+            });
+        }
         let mut degree = vec![0usize; n];
-        for (i, e) in edges.iter().enumerate() {
-            assert_eq!(e.id, EdgeId(i), "edge ids must be consecutive");
-            assert!(e.u != e.v, "self loops are not allowed");
-            assert!(e.u.0 < n && e.v.0 < n, "endpoint out of range");
+        for (index, e) in edges.iter().enumerate() {
+            if e.id != EdgeId(index) {
+                return Err(GraphError::NonConsecutiveEdgeId { index, id: e.id });
+            }
+            if e.u == e.v {
+                return Err(GraphError::SelfLoop {
+                    edge: e.id,
+                    node: e.u,
+                });
+            }
+            if let Some(&node) = [e.u, e.v].iter().find(|x| x.0 >= n) {
+                return Err(GraphError::EndpointOutOfRange {
+                    edge: e.id,
+                    node,
+                    nodes: n,
+                });
+            }
             degree[e.u.0] += 1;
             degree[e.v.0] += 1;
         }
         let mut offsets = Vec::with_capacity(n + 1);
         let mut acc = 0usize;
         offsets.push(0);
-        for &d in &degree {
-            assert!(
-                u32::try_from(d).is_ok(),
-                "degree {d} exceeds the u32 port range"
-            );
+        for (v, &d) in degree.iter().enumerate() {
+            if u32::try_from(d).is_err() {
+                return Err(GraphError::DegreeOverflow {
+                    node: NodeId(v),
+                    degree: d,
+                });
+            }
             acc += d;
             offsets.push(acc);
         }
@@ -177,11 +299,6 @@ impl Graph {
         // places `arc` in `from`'s next free slot; returns (slot, port)
         let mut place = |from: NodeId, arc: Arc| {
             let [first, slot] = fill[from.0];
-            assert!(
-                !arcs[first..slot].iter().any(|a| a.to == arc.to),
-                "parallel edge {from:?}-{:?}",
-                arc.to
-            );
             arcs[slot] = arc;
             fill[from.0][1] = slot + 1;
             (slot, slot - first)
@@ -207,15 +324,44 @@ impl Graph {
             twins[su] = pv as u32;
             twins[sv] = pu as u32;
         }
-        let ids = ids.unwrap_or_else(|| (0..n as u64).collect());
-        assert_eq!(ids.len(), n, "one id per node required");
-        Graph {
+        // last_seen[w] = 1 + the latest slot whose arc points at w: within
+        // v's range, a value past v's first slot means w repeats there
+        let mut last_seen = vec![0usize; n];
+        for v in 0..n {
+            let first = offsets[v];
+            for (slot, a) in arcs[first..offsets[v + 1]].iter().enumerate() {
+                let seen = last_seen[a.to.0];
+                if seen > first {
+                    return Err(GraphError::ParallelEdge {
+                        u: NodeId(v),
+                        v: a.to,
+                        first: arcs[seen - 1].edge,
+                        second: a.edge,
+                    });
+                }
+                last_seen[a.to.0] = first + slot + 1;
+            }
+        }
+        Ok(Graph {
             offsets,
             arcs,
             twins,
             edges,
             ids,
-        }
+        })
+    }
+
+    /// [`Graph::try_from_edges`] for edge lists known to be valid: the
+    /// generators' and [`GraphBuilder`]'s.
+    ///
+    /// # Panics
+    ///
+    /// On any [`GraphError`], with its message: self loops, out-of-range
+    /// endpoints, duplicate (parallel) edges, non-consecutive
+    /// [`EdgeId`]s, a degree beyond the `u32` port range, or an id list
+    /// of the wrong length.
+    pub fn from_edges(n: usize, edges: Vec<EdgeRef>, ids: Option<Vec<u64>>) -> Graph {
+        Graph::try_from_edges(n, edges, ids).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Number of nodes.
@@ -534,6 +680,69 @@ mod tests {
         b.add_edge(NodeId(0), NodeId(1), 1);
         b.add_edge(NodeId(1), NodeId(0), 2);
         b.build();
+    }
+
+    #[test]
+    fn try_from_edges_names_the_first_violation() {
+        let e = |i: usize, u: usize, v: usize| EdgeRef {
+            id: EdgeId(i),
+            u: NodeId(u),
+            v: NodeId(v),
+            weight: i as u64,
+        };
+        let cases = [
+            (
+                vec![e(0, 0, 1)],
+                Some(vec![7]),
+                GraphError::IdCount { nodes: 3, ids: 1 },
+            ),
+            (
+                vec![e(0, 0, 1), e(2, 1, 2)],
+                None,
+                GraphError::NonConsecutiveEdgeId {
+                    index: 1,
+                    id: EdgeId(2),
+                },
+            ),
+            (
+                vec![e(0, 0, 1), e(1, 2, 2)],
+                None,
+                GraphError::SelfLoop {
+                    edge: EdgeId(1),
+                    node: NodeId(2),
+                },
+            ),
+            (
+                vec![e(0, 0, 3), e(1, 1, 1)],
+                None,
+                GraphError::EndpointOutOfRange {
+                    edge: EdgeId(0),
+                    node: NodeId(3),
+                    nodes: 3,
+                },
+            ),
+            // node 1's range is scanned first: arcs to 2 from edges 1 and 3
+            (
+                vec![e(0, 0, 1), e(1, 1, 2), e(2, 0, 2), e(3, 2, 1)],
+                None,
+                GraphError::ParallelEdge {
+                    u: NodeId(1),
+                    v: NodeId(2),
+                    first: EdgeId(1),
+                    second: EdgeId(3),
+                },
+            ),
+        ];
+        for (edges, ids, want) in cases {
+            assert_eq!(Graph::try_from_edges(3, edges, ids), Err(want));
+        }
+        let err = Graph::try_from_edges(2, vec![e(0, 0, 1), e(1, 0, 1)], None).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parallel edge 0-1: edges 0 and 1 join the same nodes"
+        );
+        let ok = Graph::try_from_edges(3, vec![e(0, 0, 1), e(1, 2, 1)], None);
+        assert_eq!(ok.map(|g| g.degree(NodeId(1))), Ok(2));
     }
 
     #[test]

@@ -41,6 +41,6 @@ pub mod properties;
 pub mod tree;
 
 pub use dsu::Dsu;
-pub use graph::{EdgeId, EdgeRef, Graph, GraphBuilder, NodeId};
+pub use graph::{EdgeId, EdgeRef, Graph, GraphBuilder, GraphError, NodeId};
 pub use knob::{knob, knob_checked, knob_enum};
 pub use tree::RootedTree;

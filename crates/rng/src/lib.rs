@@ -115,19 +115,26 @@ impl StdRng {
     /// `m` pairwise-distinct indices drawn uniformly from `0..space`
     /// (Floyd's algorithm; order is not uniform — shuffle if needed).
     ///
+    /// Membership lives in a bitset of `space` bits, so the call
+    /// allocates `space / 8` bytes besides the `m`-entry result: size
+    /// `space` proportionally to `m`.
+    ///
     /// # Panics
     ///
     /// Panics if `m > space`.
     pub fn sample_indices(&mut self, space: usize, m: usize) -> Vec<usize> {
         assert!(m <= space, "cannot draw {m} distinct values from {space}");
-        let mut chosen = std::collections::HashSet::with_capacity(m);
+        let mut chosen = vec![0u64; space.div_ceil(64)];
         let mut out = Vec::with_capacity(m);
         for j in space - m..space {
             let t = self.below(j as u64 + 1) as usize;
-            let pick = if chosen.insert(t) { t } else { j };
-            if pick != t {
-                chosen.insert(pick);
-            }
+            // every earlier pick is below j, so j itself is always free
+            let pick = if chosen[t / 64] >> (t % 64) & 1 == 0 {
+                t
+            } else {
+                j
+            };
+            chosen[pick / 64] |= 1 << (pick % 64);
             out.push(pick);
         }
         out
@@ -276,6 +283,28 @@ mod tests {
             let set: std::collections::HashSet<_> = idx.iter().collect();
             assert_eq!(set.len(), m, "indices must be distinct");
             assert!(idx.iter().all(|&i| i < space));
+        }
+    }
+
+    /// The bitset Floyd's draws exactly what a hash-set Floyd's draws, in
+    /// the same order, leaving the stream in the same state.
+    #[test]
+    fn sample_indices_matches_a_hash_set_floyd() {
+        fn reference(rng: &mut StdRng, space: usize, m: usize) -> Vec<usize> {
+            let mut chosen = std::collections::HashSet::new();
+            (space - m..space)
+                .map(|j| {
+                    let t = rng.below(j as u64 + 1) as usize;
+                    let pick = if chosen.contains(&t) { j } else { t };
+                    chosen.insert(pick);
+                    pick
+                })
+                .collect()
+        }
+        for (space, m, seed) in [(1, 1, 0), (64, 64, 1), (65, 40, 2), (8016, 1000, 3)] {
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            assert_eq!(a.sample_indices(space, m), reference(&mut b, space, m));
+            assert_eq!(a, b, "same number of draws");
         }
     }
 

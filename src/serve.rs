@@ -21,7 +21,7 @@
 //! | request | reply |
 //! |---|---|
 //! | `PING` | `OK pong` |
-//! | `GRAPH FAMILY:N:SEED` | `OK graph <fp> nodes <n> edges <m>` |
+//! | `GRAPH FAMILY:N:SEED` (`1 ≤ N ≤ 2^24`, `2^14` for `gnp`) | `OK graph <fp> nodes <n> edges <m>` |
 //! | `UPLOAD <n> <m>` + word frame `[id]*n [u v w]*m` | `OK graph <fp> …` |
 //! | `SUBMIT <fp> <spec tokens>` | `OK job <id>` |
 //! | `SWEEP <fp> <spec tokens + algos=/ks=/seeds=>` | `OK jobs <id,…>` |
@@ -278,13 +278,22 @@ fn report_from_tokens<'a>(tokens: impl Iterator<Item = &'a str>) -> Result<RunRe
     Ok(r)
 }
 
+/// Largest `N` a `FAMILY:N:SEED` spec may ask for: the engine's packed
+/// staging holds 2^24 nodes.
+const MAX_SPEC_NODES: usize = 1 << 24;
+
+/// Largest `N` of a `gnp` spec: its generation draws once per node pair,
+/// `Θ(N²)` work.
+const MAX_GNP_NODES: usize = 1 << 14;
+
 /// Builds a graph from the `FAMILY:N:SEED` dialect the `kdom-shard`
 /// launcher introduced (`grid:2500:42`, `gnp:500:7`, …).
 ///
 /// # Errors
 ///
 /// Names the malformed component (unknown family, bad node count or
-/// seed).
+/// seed), or the bound a node count breaks: `N` must be in
+/// `1..=2^24`, and in `1..=2^14` for `gnp`.
 pub fn parse_graph_spec(s: &str) -> Result<Graph, String> {
     let parts: Vec<&str> = s.split(':').collect();
     let [family, n, seed] = parts.as_slice() else {
@@ -300,7 +309,16 @@ pub fn parse_graph_spec(s: &str) -> Result<Graph, String> {
         "gnp" => Family::Gnp,
         other => return Err(format!("unknown graph family {other:?}")),
     };
-    let n = n.parse().map_err(|e| format!("bad node count: {e}"))?;
+    let n: usize = n.parse().map_err(|e| format!("bad node count: {e}"))?;
+    let (max, why) = match family {
+        Family::Gnp => (MAX_GNP_NODES, "2^14: gnp draws once per node pair"),
+        _ => (MAX_SPEC_NODES, "2^24: the engine's packed staging"),
+    };
+    if n == 0 || n > max {
+        return Err(format!(
+            "node count N={n} in {s:?} is outside 1..={max} (the bound is {why})"
+        ));
+    }
     let seed = seed.parse().map_err(|e| format!("bad seed: {e}"))?;
     Ok(family.generate(n, seed))
 }
@@ -460,24 +478,22 @@ fn handle_upload(
         ));
     }
     let ids = words[..n].to_vec();
-    let mut edges = Vec::with_capacity(m);
-    for (i, e) in words[n..].chunks_exact(3).enumerate() {
-        let (u, v) = (e[0] as usize, e[1] as usize);
-        if u >= n || v >= n || u == v {
-            return Ok(format!("ERR edge {i} ({u},{v}) is invalid for {n} nodes"));
-        }
-        edges.push(EdgeRef {
+    // an endpoint beyond usize is out of range as usize::MAX too
+    let node = |w: u64| NodeId(usize::try_from(w).unwrap_or(usize::MAX));
+    let edges = words[n..]
+        .chunks_exact(3)
+        .enumerate()
+        .map(|(i, e)| EdgeRef {
             id: EdgeId(i),
-            u: NodeId(u),
-            v: NodeId(v),
+            u: node(e[0]),
+            v: node(e[1]),
             weight: e[2],
-        });
-    }
-    let g = match std::panic::catch_unwind(move || Graph::from_edges(n, edges, Some(ids))) {
-        Ok(g) => g,
-        Err(_) => return Ok("ERR edge list rejected (duplicate or parallel edges?)".into()),
-    };
-    Ok(register_graph(state, g))
+        })
+        .collect();
+    Ok(match Graph::try_from_edges(n, edges, Some(ids)) {
+        Ok(g) => register_graph(state, g),
+        Err(e) => format!("ERR {e}"),
+    })
 }
 
 /// Splits the sweep axis tokens (`algos=`, `ks=`, `seeds=`) out of a
@@ -1202,6 +1218,56 @@ mod tests {
         let pong = recv_text(&mut conn, &mut words).expect("the connection survives");
         assert_eq!(pong, "OK pong");
         let mut client = Client::connect(&ep).expect("connect");
+        client.shutdown().expect("shutdown");
+        server.join().expect("server thread").expect("clean exit");
+    }
+
+    #[test]
+    fn upload_with_a_parallel_edge_is_an_err_naming_it_and_the_connection_survives() {
+        let (ep, server) = test_server();
+        let mut conn = ep.connect().expect("connect");
+        let mut words = Vec::new();
+        send_text(&mut conn, "UPLOAD 3 3").expect("header");
+        // ids, then edges 0-1, 1-2 and 2-1 (parallel to the second)
+        send_words(&mut conn, &[10, 11, 12, 0, 1, 5, 1, 2, 6, 2, 1, 7]).expect("payload");
+        let reply = recv_text(&mut conn, &mut words).expect("a reply, not EOF");
+        assert_eq!(
+            reply,
+            "ERR parallel edge 1-2: edges 1 and 2 join the same nodes"
+        );
+        send_text(&mut conn, "UPLOAD 2 1").expect("header");
+        send_words(&mut conn, &[10, 11, 0, 9, 5]).expect("payload");
+        let reply = recv_text(&mut conn, &mut words).expect("a reply, not EOF");
+        assert_eq!(reply, "ERR endpoint out of range: edge 0 names node 9 of 2");
+        send_text(&mut conn, "PING").expect("ping");
+        let pong = recv_text(&mut conn, &mut words).expect("the connection survives");
+        assert_eq!(pong, "OK pong");
+        let mut client = Client::connect(&ep).expect("connect");
+        client.shutdown().expect("shutdown");
+        server.join().expect("server thread").expect("clean exit");
+    }
+
+    #[test]
+    fn graph_specs_outside_their_node_bounds_are_refused() {
+        let cases = [
+            ("path:0:1", "N=0", "1..=16777216"),
+            ("star:16777217:1", "N=16777217", "1..=16777216"),
+            ("gnp:16385:1", "N=16385", "1..=16384"),
+        ];
+        for (spec, token, bound) in cases {
+            let err = parse_graph_spec(spec).expect_err("out-of-bound N is refused");
+            assert!(err.contains(token) && err.contains(bound), "{spec}: {err}");
+        }
+        // the serve_mix graphs stay accepted
+        for spec in ["grid:2500:1", "rtree:2500:1", "gnp:1200:1"] {
+            parse_graph_spec(spec).expect("in bounds");
+        }
+        // over the socket, N = 0 is an ERR reply, not a dead connection
+        let (ep, server) = test_server();
+        let mut client = Client::connect(&ep).expect("connect");
+        let err = client.graph_spec("path:0:1").expect_err("N = 0");
+        assert!(err.to_string().contains("N=0"), "{err}");
+        client.ping().expect("connection survives an ERR");
         client.shutdown().expect("shutdown");
         server.join().expect("server thread").expect("clean exit");
     }
