@@ -4,9 +4,9 @@
 //! Produces `BENCH_engine.json` at the repo root (median wall-clock and
 //! rounds/second per target). Every engine leg is asserted byte-identical
 //! to the reference loop before being timed, so the speedups are over
-//! equivalent work. `KDOM_THREADS=4` legs only show wall-clock gains on
-//! multi-core hosts; on a single core they measure the determinism
-//! overhead instead.
+//! equivalent work. The 4-thread legs (`EngineConfig::with_threads(4)`)
+//! only show wall-clock gains on multi-core hosts; on a single core they
+//! measure the determinism overhead instead.
 
 use kdom_bench::harness::{
     can_bench_threads, check_regression_gate, note_extra, note_rounds, record_measurement,

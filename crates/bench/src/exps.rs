@@ -1023,6 +1023,10 @@ pub fn e20(quick: bool) -> Table {
     t
 }
 
+/// The name prefix of E21's measurements, and so of the rows in
+/// `BENCH_e21.json`.
+const E21_ROWS: &str = "e21/";
+
 /// E21 — engine scaling: the shared round engine (active-set scheduling,
 /// flat message arena, optional sharded parallelism) against the
 /// pre-refactor reference loop, with byte-identical outputs as the hard
@@ -1118,7 +1122,7 @@ pub fn e21(quick: bool) -> Table {
                     ("active-set-4t", act4),
                 ] {
                     let Some(secs) = secs else { continue };
-                    let name = format!("e21/{label}/{leg}");
+                    let name = format!("{E21_ROWS}{label}/{leg}");
                     crate::harness::record_measurement(&name, secs);
                     crate::harness::note_rounds(&name, ref_report.rounds);
                 }
@@ -1155,7 +1159,7 @@ pub fn e21(quick: bool) -> Table {
     // names — e21 (which also runs under `cargo test` via the quick
     // suite) writing there would silently replace it with names the
     // gate never matches
-    match crate::harness::write_json("BENCH_e21.json") {
+    match crate::harness::write_json("BENCH_e21.json", E21_ROWS) {
         Ok(path) => t.note(format!("wrote {}", path.display())),
         Err(e) => {
             t.check(false);
@@ -1499,6 +1503,18 @@ mod tests {
     fn quick_suite_all_checks_pass() {
         for table in all(true) {
             assert!(table.all_ok, "{} failed:\n{table}", table.title);
+        }
+    }
+
+    #[test]
+    fn e21_document_excludes_other_rows() {
+        // under `cargo test` the harness's own tests record into the
+        // same process-global registry
+        crate::harness::record_measurement("foreign-test/x", 0.25);
+        let doc = crate::harness::render_json(E21_ROWS);
+        assert!(!doc.contains("foreign-test/x"), "{doc}");
+        for line in doc.lines().filter(|l| l.contains("\"name\"")) {
+            assert!(line.contains(&format!("\"name\": \"{E21_ROWS}")), "{line}");
         }
     }
 

@@ -98,14 +98,25 @@ pub fn can_bench_threads(threads: usize) -> bool {
 /// targets the gate never matches, turning the gate into a vacuous
 /// pass.
 pub fn write_engine_json() -> std::io::Result<PathBuf> {
-    write_json("BENCH_engine.json")
+    write_json("BENCH_engine.json", "")
 }
 
-/// Writes every recorded measurement to `file_name` at the repo root in
-/// the `BENCH_engine.json` format. Returns the path written.
-pub fn write_json(file_name: &str) -> std::io::Result<PathBuf> {
+/// Writes the recorded measurements whose names start with `prefix` to
+/// `file_name` at the repo root in the `BENCH_engine.json` format.
+/// Returns the path written. The registry is process-global, so a
+/// caller sharing its process with other recorders (the e21 experiment
+/// under `cargo test`) names its own rows by prefix.
+pub fn write_json(file_name: &str, prefix: &str) -> std::io::Result<PathBuf> {
     let path = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join(file_name);
-    let results = RESULTS.lock().unwrap();
+    std::fs::write(&path, render_json(prefix))?;
+    eprintln!("wrote {}", path.display());
+    Ok(path)
+}
+
+/// The document [`write_json`] writes for `prefix`.
+pub(crate) fn render_json(prefix: &str) -> String {
+    let all = RESULTS.lock().unwrap();
+    let results: Vec<&Sample> = all.iter().filter(|s| s.name.starts_with(prefix)).collect();
     let nproc = std::thread::available_parallelism().map_or(0, usize::from);
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"nproc\": {nproc},\n"));
@@ -131,9 +142,7 @@ pub fn write_json(file_name: &str) -> std::io::Result<PathBuf> {
         out.push('\n');
     }
     out.push_str("  ]\n}\n");
-    std::fs::write(&path, out)?;
-    eprintln!("wrote {}", path.display());
-    Ok(path)
+    out
 }
 
 /// Compares the measurements recorded so far against the **committed**

@@ -44,9 +44,7 @@
 //!    public API.
 //!
 //! Configuration comes from [`EngineConfig`], which every runner takes
-//! from its caller. Only binaries and tests read the `KDOM_THREADS`,
-//! `KDOM_FASTFWD`, `KDOM_DENSE_PCT` and `KDOM_SHARD_MIN` knobs, through
-//! [`EngineConfig::from_env`].
+//! from its caller; nothing here reads the environment for it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -109,37 +107,8 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Reads the configuration from the environment (binaries call this;
-    /// library runners take their configuration from the caller):
-    ///
-    /// - `KDOM_THREADS`: worker count ([`EngineConfig::check_threads`]);
-    /// - `KDOM_FASTFWD`: `0`/`off`/`false`/`no` disables fast-forward,
-    ///   `1`/`on`/`true`/`yes` keeps it on (the default when unset);
-    /// - `KDOM_DENSE_PCT`: dense-scan fallback threshold
-    ///   ([`EngineConfig::check_dense_pct`]);
-    /// - `KDOM_SHARD_MIN`: minimum active nodes per worker shard
-    ///   ([`EngineConfig::check_shard_min`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming the variable and the offending value, when a knob
-    /// is set but malformed or out of range (via
-    /// [`kdom_graph::knob`](mod@kdom_graph::knob)) — a typo'd knob must
-    /// not silently run the default configuration.
-    pub fn from_env() -> Self {
-        use kdom_graph::knob::{knob_checked, knob_flag};
-        let defaults = EngineConfig::default();
-        EngineConfig {
-            threads: knob_checked("KDOM_THREADS", defaults.threads, Self::check_threads),
-            fast_forward: knob_flag("KDOM_FASTFWD", defaults.fast_forward),
-            dense_pct: knob_checked("KDOM_DENSE_PCT", defaults.dense_pct, Self::check_dense_pct),
-            shard_min: knob_checked("KDOM_SHARD_MIN", defaults.shard_min, Self::check_shard_min),
-            ..defaults
-        }
-    }
-
-    /// Accepts a worker count in `1..=256`: the bound every outside
-    /// source of a config (env knobs, service spec tokens) enforces.
+    /// Accepts a worker count in `1..=256`: the bound the service's
+    /// `threads=` spec token enforces.
     ///
     /// # Errors
     ///
@@ -149,34 +118,6 @@ impl EngineConfig {
             Ok(())
         } else {
             Err("worker count must be in 1..=256".into())
-        }
-    }
-
-    /// Accepts a dense-scan threshold in `0..=300` percent: the merged
-    /// estimate counts each node at most thrice, so a larger value could
-    /// never trigger.
-    ///
-    /// # Errors
-    ///
-    /// The violated constraint, for the caller to name its source.
-    pub fn check_dense_pct(&pct: &usize) -> Result<(), String> {
-        if pct <= 300 {
-            Ok(())
-        } else {
-            Err("dense-scan threshold above 300% can never trigger".into())
-        }
-    }
-
-    /// Accepts a minimum shard size of at least 1.
-    ///
-    /// # Errors
-    ///
-    /// The violated constraint, for the caller to name its source.
-    pub fn check_shard_min(&shard_min: &usize) -> Result<(), String> {
-        if shard_min >= 1 {
-            Ok(())
-        } else {
-            Err("shard size must be at least 1".into())
         }
     }
 

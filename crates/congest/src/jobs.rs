@@ -2,9 +2,11 @@
 //! scheduler, and a content-addressed result cache.
 //!
 //! [`RunSpec`] makes a run an explicit *value* — algorithm, `k`, seed,
-//! schedule knobs, worker threads, fault plan, trace toggle.
+//! worker threads, execution backend, fault plan, trace toggle.
 //! Everything downstream (the engine config, the executor, the cache
-//! key) is derived from the spec, never from the environment.
+//! key) is derived from the spec, never from the environment; the
+//! engine's other schedule settings keep their [`EngineConfig`]
+//! defaults, which change wall time only.
 //!
 //! On top of the spec sit two service pieces:
 //!
@@ -152,13 +154,6 @@ pub struct RunSpec {
     pub seed: u64,
     /// Round-engine worker threads (see [`EngineConfig::threads`]).
     pub threads: usize,
-    /// Quiescence fast-forward (see [`EngineConfig::fast_forward`]).
-    pub fast_forward: bool,
-    /// Dense-scan fallback threshold (see [`EngineConfig::dense_pct`]).
-    pub dense_pct: usize,
-    /// Minimum active nodes per worker shard (see
-    /// [`EngineConfig::shard_min`]).
-    pub shard_min: usize,
     /// The execution backend.
     pub exec: ExecSpec,
     /// The fault adversary (fault-free by default). Only
@@ -173,15 +168,11 @@ pub struct RunSpec {
 
 impl Default for RunSpec {
     fn default() -> Self {
-        let engine = EngineConfig::default();
         RunSpec {
             algo: Algo::SimpleMst,
             k: 0,
             seed: 0,
-            threads: engine.threads,
-            fast_forward: engine.fast_forward,
-            dense_pct: engine.dense_pct,
-            shard_min: engine.shard_min,
+            threads: EngineConfig::default().threads,
             exec: ExecSpec::Sync,
             faults: FaultPlan::new(0),
             trace: false,
@@ -232,38 +223,29 @@ impl RunSpec {
         self
     }
 
-    /// The round-engine configuration this spec describes. Tracing is
-    /// *not* part of it — the trace policy is installed thread-locally
-    /// by the pool, and the engine picks it up at its attach point.
+    /// The round-engine configuration this spec describes: the default
+    /// schedule on [`RunSpec::threads`] workers. Tracing is *not* part
+    /// of it — the trace policy is installed thread-locally by the pool,
+    /// and the engine picks it up at its attach point.
     pub fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            threads: self.threads,
-            fast_forward: self.fast_forward,
-            dense_pct: self.dense_pct,
-            shard_min: self.shard_min,
-            bit_budget: None,
-            codec_profile: false,
-        }
+        EngineConfig::default().with_threads(self.threads)
     }
 
     /// The spec's canonical FNV-1a hash — the spec half of the cache
     /// key. Every field is folded in (a tagged, length-prefixed word
     /// stream, so permuted collections cannot collide structurally):
     /// specs differing in *any* field — seed, `k`, thread count, fault
-    /// plan, trace toggle — hash differently by construction. Threads and
-    /// the schedule knobs are included even though the engine's outputs
-    /// are byte-identical across them: the service caches *runs*, and a
-    /// run's identity is its full spec.
+    /// plan, trace toggle — hash differently by construction. Threads are
+    /// included even though the engine's outputs are byte-identical
+    /// across them: the service caches *runs*, and a run's identity is
+    /// its full spec.
     pub fn canonical_hash(&self) -> u64 {
         let mut h = Fnv::new();
-        h.word(3); // spec schema version
+        h.word(4); // spec schema version
         h.word(self.algo.tag());
         h.word(self.k);
         h.word(self.seed);
         h.word(self.threads as u64);
-        h.word(u64::from(self.fast_forward));
-        h.word(self.dense_pct as u64);
-        h.word(self.shard_min as u64);
         match self.exec {
             ExecSpec::Sync => h.word(0),
             ExecSpec::ReliableAlpha { max_delay } => {
@@ -744,26 +726,6 @@ impl JobPool {
             })
             .collect();
         JobPool { inner, workers }
-    }
-
-    /// A pool sized by the environment: `KDOM_JOBS` worker threads
-    /// (default 4, in `1..=256`) and a `KDOM_CACHE_BYTES` cache budget
-    /// (default 64 MiB).
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming the variable and the offending value, when a knob
-    /// is set but malformed or out of range.
-    pub fn from_env(runner: Runner) -> Self {
-        let workers = kdom_graph::knob::knob_checked("KDOM_JOBS", 4usize, |&w| {
-            if (1..=256).contains(&w) {
-                Ok(())
-            } else {
-                Err("worker count must be in 1..=256".into())
-            }
-        });
-        let budget = kdom_graph::knob::knob("KDOM_CACHE_BYTES", 64usize << 20);
-        JobPool::new(workers, budget, runner)
     }
 
     /// Submits one run. Served instantly from the cache when the

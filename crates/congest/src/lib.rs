@@ -97,8 +97,8 @@ pub use sim::{
 };
 pub use trace::{JsonlSink, MemorySink, TraceEvent, TraceSink, TraceSummary};
 pub use transport::{
-    coordinate, frame_to_bytes, net_timeout, read_frame, run_worker, shard_bounds, Conn,
-    CoordListener, CoordOpts, DistOutcome, Endpoint, WorkerOpts, TRANSPORT_VERSION,
+    coordinate, frame_to_bytes, read_frame, run_worker, shard_bounds, Conn, CoordListener,
+    CoordOpts, DistOutcome, Endpoint, WorkerOpts, TRANSPORT_VERSION,
 };
 pub use wire::{
     decode_from, encode_to, BitReader, BitWriter, CodecScratch, Wire, WireError, WireFrame,

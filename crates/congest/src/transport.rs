@@ -37,6 +37,11 @@
 //! deadline passes. Transient faults (drops, duplication, link
 //! down-intervals) are fully supported — they live coordinator-side.
 //!
+//! The one liveness setting is the coordinator's [`CoordOpts::timeout`]
+//! (`kdom-shard --timeout-ms`): it bounds the handshake and every reply,
+//! and the `Welcome` frame hands it to the workers, which heartbeat at a
+//! quarter of it. A worker retries its first connect for a fixed 5 s.
+//!
 //! Framing is length-prefixed: a 16-byte header (magic, word count, bit
 //! length) followed by little-endian `u64` words. [`frame_to_bytes`] and
 //! [`read_frame`] are pure and exercised directly by the corruption
@@ -71,16 +76,10 @@ pub const FRAME_MAGIC: u32 = 0x4B44_4F4D;
 /// allocation happens — lengths read off a socket are never trusted.
 pub const MAX_FRAME_WORDS: u32 = 1 << 24;
 
-/// Environment knob naming the handshake/heartbeat deadline in
-/// milliseconds (default 5000). Read through the fail-fast
-/// [`knob`](mod@kdom_graph::knob) layer: a malformed value aborts with the
-/// variable name and offending text instead of being silently ignored.
-pub const NET_TIMEOUT_ENV: &str = "KDOM_NET_TIMEOUT_MS";
-
-/// The handshake/heartbeat deadline from [`NET_TIMEOUT_ENV`].
-pub fn net_timeout() -> Duration {
-    Duration::from_millis(kdom_graph::knob::knob(NET_TIMEOUT_ENV, 5000u64))
-}
+/// How long a worker retries connecting to its coordinator: the fleet
+/// may launch before the coordinator listens. Once connected, the
+/// worker's heartbeat follows the coordinator's [`CoordOpts::timeout`].
+const CONNECT_DEADLINE: Duration = Duration::from_secs(5);
 
 // ---------------------------------------------------------------------------
 // Byte framing
@@ -949,7 +948,7 @@ pub fn run_worker<P: Protocol>(
 
     // Connect with retry: the coordinator may not be listening yet when
     // the process fleet launches.
-    let deadline = Instant::now() + net_timeout();
+    let deadline = Instant::now() + CONNECT_DEADLINE;
     let mut conn = loop {
         match opts.connect.connect() {
             Ok(c) => break c,
@@ -1176,12 +1175,6 @@ fn worker_loop<P: Protocol>(
 pub struct CoordOpts {
     /// Worker process count (each owns one contiguous node shard).
     pub shards: usize,
-    /// Engine configuration. `fast_forward`, `dense_pct`, and
-    /// `bit_budget` apply exactly as in-process; `threads`, `shard_min`,
-    /// and `codec_profile` are meaningless here (parallelism is the
-    /// process fleet, and the codec runs in the workers) and are
-    /// ignored.
-    pub config: EngineConfig,
     /// Transient-fault plan (drops, duplication, link down-intervals).
     /// Crash-stop schedules are rejected: kill a worker process to
     /// model a crash, and observe [`SimError::PeerLost`].
@@ -1364,9 +1357,10 @@ impl RoundBackend<Frame> for Fleet {
 /// consensus), then drives the round core with the worker fleet as its
 /// backend until quiescence. The returned report — and the stream
 /// written to `trace`, if any — is byte-identical to
-/// `Simulator::with_config(..).run(max_rounds)` (or
-/// `Simulator::with_faults` under `opts.plan`) on a single
-/// process.
+/// `Simulator::with_config(.., EngineConfig::default()).run(max_rounds)`
+/// (or `Simulator::with_faults` under `opts.plan`) on a single process:
+/// the engine's schedule settings change wall time, never a report, and
+/// the fleet's parallelism is its processes.
 ///
 /// # Errors
 ///
@@ -1449,7 +1443,8 @@ pub fn coordinate(
         wlinks.push(l.link);
     }
 
-    let mut core = RoundCore::new(graph, opts.config, done, injector, fixed_mem, staged_bytes);
+    let config = EngineConfig::default();
+    let mut core = RoundCore::new(graph, config, done, injector, fixed_mem, staged_bytes);
     core.attach_trace(trace);
     let mut fleet = Fleet {
         links: wlinks,

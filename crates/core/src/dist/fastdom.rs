@@ -69,27 +69,28 @@ fn plan_cluster_trees(
             cluster_of[v.0] = i;
         }
     }
-    let port_to = |v: NodeId, w: NodeId| {
-        Port(
-            g.neighbors(v)
-                .iter()
-                .position(|a| a.to == w)
-                .expect("tree edge exists in the graph"),
-        )
-    };
     let mut parent = vec![None; n];
     let mut children = vec![Vec::new(); n];
     let mut depth = vec![0u32; n];
+    let mut seen = vec![false; n];
     for (i, (center, members)) in clusters.iter().enumerate() {
-        let mut seen = std::collections::HashSet::new();
-        seen.insert(*center);
+        seen[center.0] = true;
         let mut q = VecDeque::from([*center]);
         let mut reached = 1usize;
         while let Some(u) = q.pop_front() {
             for &w in &tree_adj[u.0] {
-                if cluster_of[w.0] == i && seen.insert(w) {
-                    parent[w.0] = Some(port_to(w, u));
-                    children[u.0].push(port_to(u, w));
+                if cluster_of[w.0] == i && !seen[w.0] {
+                    seen[w.0] = true;
+                    // each node scans its own arcs once, for its parent;
+                    // the parent's port is that arc's twin, so a hub
+                    // never scans its arcs once per child
+                    let up = g
+                        .neighbors(w)
+                        .iter()
+                        .position(|a| a.to == u)
+                        .expect("tree edge exists in the graph");
+                    parent[w.0] = Some(Port(up));
+                    children[u.0].push(Port(g.twin_port(w, up)));
                     depth[w.0] = depth[u.0] + 1;
                     reached += 1;
                     q.push_back(w);
@@ -355,6 +356,42 @@ mod tests {
         let (gb, _) =
             fast_dom_g_distributed(&gg, 2, WithinCluster::OptimalDp, &Executor::default());
         assert_eq!(ga.dominators(), gb.dominators());
+    }
+
+    /// FNV-1a over the debug rendering of a `FastDOM_G` run: its
+    /// clustering, stage reports and absorbed report together.
+    fn run_hash(g: &Graph, k: usize, solver: WithinCluster) -> u64 {
+        let (res, report) = fast_dom_g_distributed(g, k, solver, &Executor::default());
+        format!("{res:?}{report:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn hub_runs_reproduce_recorded_hashes() {
+        // Recorded when the cluster-tree plan still scanned a hub's arcs
+        // once per child and SimpleMST deduped attachments by scanning
+        // its children: the linear versions keep every child order, so
+        // the DP and DiamDOM tie-breaks, and hence the hashes, stay put.
+        use kdom_graph::generators::{broom, star, GenConfig};
+        let star = star(&GenConfig::with_seed(5000, 1));
+        let broom = broom(&GenConfig::with_seed(5000, 2), 2500);
+        let cases = [
+            (&star, 2, WithinCluster::OptimalDp, 0x24cc_8220_d83f_bdd5),
+            (&star, 2, WithinCluster::DiamDom, 0x2078_628a_298d_da37),
+            (&star, 4, WithinCluster::OptimalDp, 0xbf0f_7cb7_d7a2_559a),
+            (&star, 4, WithinCluster::DiamDom, 0x46e4_f0d9_d70e_7f40),
+            (&broom, 2, WithinCluster::OptimalDp, 0x3abb_703f_592b_3af0),
+            (&broom, 2, WithinCluster::DiamDom, 0x4bb5_3048_ffc6_522d),
+            (&broom, 4, WithinCluster::OptimalDp, 0xfa41_5d21_f5ac_dd2d),
+            (&broom, 4, WithinCluster::DiamDom, 0x330a_52f7_710a_0aa2),
+        ];
+        for (i, &(g, k, solver, want)) in cases.iter().enumerate() {
+            let got = run_hash(g, k, solver);
+            assert_eq!(got, want, "case {i}: k={k} {solver:?}: {got:#018x}");
+        }
     }
 
     #[test]

@@ -384,9 +384,12 @@ impl Protocol for FragmentNode {
                 }
                 connects.retain(|(p, _)| *p != q);
             }
-            // all remaining connects are inbound attachments
+            // all remaining connects are inbound attachments: each
+            // port's copies sit adjacent in the port-sorted inbox, and an
+            // attaching (inter-fragment) port is never an earlier child,
+            // so comparing with the last child dedupes in O(1)
             for (p, _) in connects {
-                if !self.children.contains(&p) {
+                if self.children.last() != Some(&p) {
                     self.children.push(p);
                 }
             }

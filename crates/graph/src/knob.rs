@@ -1,12 +1,14 @@
 //! Fail-fast parsing of `KDOM_*` environment knobs.
 //!
-//! Every layer of the workspace reads tuning knobs from the environment
-//! (`KDOM_THREADS`, `KDOM_CHAOS_*`, `KDOM_BENCH_*`, …). The historical
-//! pattern `var(k).ok().and_then(|v| v.parse().ok()).unwrap_or(default)`
-//! silently swallowed malformed values: `KDOM_THREADS=abc` fell back to
-//! the single-threaded default without a word, so a typo'd CI matrix or
-//! shell export quietly benchmarked the wrong configuration. These
-//! helpers are the one place knob strings are parsed now, and a value
+//! A few knobs are read from the environment: the oracles' worker count
+//! (`KDOM_ORACLE_THREADS`), the trace file (`KDOM_TRACE`) and the test
+//! and bench harness settings (`KDOM_CHAOS_*`, `KDOM_BENCH_*`). The
+//! historical pattern
+//! `var(k).ok().and_then(|v| v.parse().ok()).unwrap_or(default)`
+//! silently swallowed malformed values: a thread count of `abc` fell
+//! back to the single-threaded default without a word, so a typo'd CI
+//! matrix or shell export quietly benchmarked the wrong configuration.
+//! These helpers are the one place knob strings are parsed now, and a value
 //! that is set but unusable **aborts with a message naming the variable
 //! and the offending value** — a misconfigured run must not masquerade
 //! as a configured one.

@@ -8,9 +8,8 @@
 //! ranked-frontier level-synchronous sweep whose sequential commit phase
 //! reproduces the FIFO queue's discovery order exactly, so outputs are
 //! byte-identical at every thread count. The worker count comes from
-//! `KDOM_ORACLE_THREADS` (falling back to `KDOM_THREADS`, default 1 —
-//! see [`oracle_threads`]), or explicitly via the `_with_threads`
-//! variants.
+//! `KDOM_ORACLE_THREADS` (default 1 — see [`oracle_threads`]), or
+//! explicitly via the `_with_threads` variants.
 
 use std::collections::VecDeque;
 
@@ -24,22 +23,16 @@ pub const UNREACHABLE: u32 = u32::MAX;
 const PAR_FRONTIER_MIN: usize = 256;
 
 /// Worker-thread count for the oracle helpers: `KDOM_ORACLE_THREADS`,
-/// falling back to `KDOM_THREADS`, default 1 (fully sequential). The
-/// parallel sweeps are deterministic, so the knob changes wall-clock
-/// only, never outputs.
+/// default 1 (fully sequential). The parallel sweeps are deterministic,
+/// so the knob changes wall-clock only, never outputs.
 pub fn oracle_threads() -> usize {
-    let positive = |&t: &usize| {
+    crate::knob::knob_checked("KDOM_ORACLE_THREADS", 1, |&t: &usize| {
         if t >= 1 {
             Ok(())
         } else {
             Err("worker count must be at least 1".to_string())
         }
-    };
-    if crate::knob::raw("KDOM_ORACLE_THREADS").is_some() {
-        crate::knob::knob_checked("KDOM_ORACLE_THREADS", 1, positive)
-    } else {
-        crate::knob::knob_checked("KDOM_THREADS", 1, positive)
-    }
+    })
 }
 
 /// Hop distances from `src` to every node (`UNREACHABLE` if disconnected).

@@ -3,8 +3,9 @@
 //! One binary, four roles:
 //!
 //! - `kdom-serve serve` — bind a socket, accept clients, and run jobs on
-//!   a bounded worker pool fronted by the content-addressed result
-//!   cache. Prints `listening on <endpoint>` once ready (an ephemeral
+//!   a bounded worker pool (`--jobs`, 1..=256, default 4) fronted by the
+//!   content-addressed result cache (`--cache-bytes`, default 64 MiB).
+//!   Prints `listening on <endpoint>` once ready (an ephemeral
 //!   `--listen tcp:127.0.0.1:0` resolves to its real port).
 //! - `kdom-serve sweep` — install a graph on a running server, submit a
 //!   cross-product sweep, wait for every job, and print one line per
@@ -31,52 +32,14 @@ use kdom::congest::transport::Endpoint;
 use kdom::congest::{Algo, ExecSpec, JobPool, RunSpec, SweepSpec};
 use kdom::serve::{Client, Server};
 
-struct Args {
-    role: String,
-    flags: Vec<(String, String)>,
-}
+#[path = "../cli_args.rs"]
+mod cli_args;
+
+use cli_args::Args;
+
+const ROLES: &str = "serve | sweep | stats | shutdown";
 
 impl Args {
-    fn parse() -> Result<Self, String> {
-        let mut it = std::env::args().skip(1);
-        let role = it
-            .next()
-            .ok_or("missing role: serve | sweep | stats | shutdown")?;
-        let mut flags = Vec::new();
-        while let Some(flag) = it.next() {
-            let name = flag
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected --flag, got {flag:?}"))?;
-            let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-            flags.push((name.to_string(), value));
-        }
-        Ok(Args { role, flags })
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn require(&self, name: &str) -> Result<&str, String> {
-        self.get(name)
-            .ok_or_else(|| format!("--{name} is required"))
-    }
-
-    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|e| format!("--{name} {v:?} did not parse: {e}")),
-        }
-    }
-
     /// A comma-separated list flag (`--seeds 1,2,3`), empty when unset.
     fn list<T: std::str::FromStr>(&self, name: &str) -> Result<Vec<T>, String>
     where
@@ -104,16 +67,12 @@ fn serve(args: &Args) -> Result<(), String> {
     let listen: Endpoint = args
         .parsed("listen", Endpoint::Tcp("127.0.0.1:0".into()))
         .map_err(|e| e.to_string())?;
-    let runner = kdom::mst::service::runner();
-    // flags override the KDOM_JOBS / KDOM_CACHE_BYTES knobs when given
-    let pool = match (args.get("jobs"), args.get("cache-bytes")) {
-        (None, None) => JobPool::from_env(runner),
-        _ => JobPool::new(
-            args.parsed("jobs", 4usize)?,
-            args.parsed("cache-bytes", 64usize << 20)?,
-            runner,
-        ),
-    };
+    let jobs: usize = args.parsed("jobs", 4)?;
+    if !(1..=256).contains(&jobs) {
+        return Err(format!("--jobs {jobs} is outside 1..=256"));
+    }
+    let cache_bytes = args.parsed("cache-bytes", 64usize << 20)?;
+    let pool = JobPool::new(jobs, cache_bytes, kdom::mst::service::runner());
     let server = Server::bind(&listen, pool).map_err(|e| format!("bind {listen}: {e}"))?;
     let ep = server
         .local_endpoint()
@@ -212,16 +171,14 @@ fn print_stats(client: &mut Client) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let result = Args::parse().and_then(|args| match args.role.as_str() {
+    let result = Args::parse(ROLES).and_then(|args| match args.role.as_str() {
         "serve" => serve(&args),
         "sweep" => sweep(&args),
         "stats" => print_stats(&mut connect(&args)?),
         "shutdown" => connect(&args)?
             .shutdown()
             .map_err(|e| format!("shutdown: {e}")),
-        other => Err(format!(
-            "unknown role {other:?}: serve | sweep | stats | shutdown"
-        )),
+        other => Err(format!("unknown role {other:?}: {ROLES}")),
     });
     match result {
         Ok(()) => ExitCode::SUCCESS,

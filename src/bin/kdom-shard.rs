@@ -16,6 +16,10 @@
 //! kdom-shard run --shards 4 --graph grid:2500:42 --proto simple-mst
 //! ```
 //!
+//! The coordinator's `--timeout-ms` (default 5000) is the fleet's one
+//! liveness deadline: workers learn it in the handshake and heartbeat at
+//! a quarter of it.
+//!
 //! Exit codes: `0` success, `2` a peer was lost (socket dropped, silent
 //! past the heartbeat deadline, or handshake mismatch), `3` the
 //! `--die-at-round` test hook fired, `1` any other failure.
@@ -24,46 +28,20 @@ use std::process::{Command, ExitCode, Stdio};
 use std::time::Duration;
 
 use kdom::congest::transport::{
-    coordinate, net_timeout, run_worker, CoordListener, CoordOpts, Endpoint, WorkerOpts,
+    coordinate, run_worker, CoordListener, CoordOpts, Endpoint, WorkerOpts,
 };
-use kdom::congest::{EngineConfig, JsonlSink, SimError, TraceSink};
+use kdom::congest::{JsonlSink, SimError, TraceSink};
 use kdom::core::dist::fragments::{schedule_end, FragmentNode};
-use kdom::graph::generators::Family;
 use kdom::graph::Graph;
 use kdom::mst::fastmst::default_k;
+use kdom::serve::parse_graph_spec;
 
-/// A `--graph FAMILY:N:SEED` spec.
-struct GraphSpec {
-    family: Family,
-    n: usize,
-    seed: u64,
-}
+#[path = "../cli_args.rs"]
+mod cli_args;
 
-impl GraphSpec {
-    fn parse(s: &str) -> Result<Self, String> {
-        let parts: Vec<&str> = s.split(':').collect();
-        let [family, n, seed] = parts.as_slice() else {
-            return Err(format!("graph spec {s:?} is not FAMILY:N:SEED"));
-        };
-        let family = match *family {
-            "grid" => Family::Grid,
-            "path" => Family::Path,
-            "star" => Family::Star,
-            "btree" => Family::BalancedBinary,
-            "rtree" => Family::RandomTree,
-            "caterpillar" => Family::Caterpillar,
-            "gnp" => Family::Gnp,
-            other => return Err(format!("unknown graph family {other:?}")),
-        };
-        let n = n.parse().map_err(|e| format!("bad node count: {e}"))?;
-        let seed = seed.parse().map_err(|e| format!("bad seed: {e}"))?;
-        Ok(GraphSpec { family, n, seed })
-    }
+use cli_args::Args;
 
-    fn build(&self) -> Graph {
-        self.family.generate(self.n, self.seed)
-    }
-}
+const ROLES: &str = "coord | worker | run";
 
 /// A `--proto` spec. Only `simple-mst[:K]` exists today; the enum keeps
 /// the dispatch explicit for when more stages ride the transport.
@@ -90,51 +68,6 @@ impl ProtoSpec {
     }
 }
 
-struct Args {
-    role: String,
-    flags: Vec<(String, String)>,
-}
-
-impl Args {
-    fn parse() -> Result<Self, String> {
-        let mut it = std::env::args().skip(1);
-        let role = it.next().ok_or("missing role: coord | worker | run")?;
-        let mut flags = Vec::new();
-        while let Some(flag) = it.next() {
-            let name = flag
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected --flag, got {flag:?}"))?;
-            let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-            flags.push((name.to_string(), value));
-        }
-        Ok(Args { role, flags })
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn require(&self, name: &str) -> Result<&str, String> {
-        self.get(name)
-            .ok_or_else(|| format!("--{name} is required"))
-    }
-
-    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|e| format!("--{name} {v:?} did not parse: {e}")),
-        }
-    }
-}
-
 fn harvest(node: &FragmentNode) -> u64 {
     // parent port + 1, with 0 for fragment roots: one u64 per node, enough
     // to reconstruct the fragment forest coordinator-side
@@ -150,7 +83,7 @@ fn sim_exit(e: &SimError) -> ExitCode {
 }
 
 fn worker(args: &Args) -> Result<ExitCode, String> {
-    let graph = GraphSpec::parse(args.require("graph")?)?.build();
+    let graph = parse_graph_spec(args.require("graph")?)?;
     let proto = ProtoSpec::parse(args.require("proto")?)?;
     let k = proto.k_for(&graph);
     let connect: Endpoint = args.require("connect")?.parse()?;
@@ -190,12 +123,9 @@ fn coord_opts(args: &Args, graph: &Graph, k: usize) -> Result<CoordOpts, String>
         ));
     }
     let max_rounds = args.parsed("max-rounds", schedule_end(k) + 8)?;
-    let timeout_ms: u64 = args.parsed("timeout-ms", net_timeout().as_millis() as u64)?;
+    let timeout_ms: u64 = args.parsed("timeout-ms", 5000)?;
     Ok(CoordOpts {
         shards,
-        // the engine knobs are this binary's deployment setting; the
-        // transport is chosen by --listen/--connect flags
-        config: EngineConfig::from_env(),
         plan: None,
         max_rounds,
         timeout: Duration::from_millis(timeout_ms),
@@ -232,7 +162,7 @@ fn report_outcome(
 }
 
 fn coord(args: &Args) -> Result<ExitCode, String> {
-    let graph = GraphSpec::parse(args.require("graph")?)?.build();
+    let graph = parse_graph_spec(args.require("graph")?)?;
     let proto = ProtoSpec::parse(args.require("proto")?)?;
     let k = proto.k_for(&graph);
     let opts = coord_opts(args, &graph, k)?;
@@ -247,7 +177,7 @@ fn coord(args: &Args) -> Result<ExitCode, String> {
 fn run(args: &Args) -> Result<ExitCode, String> {
     let graph_spec = args.require("graph")?;
     let proto_spec = args.require("proto")?;
-    let graph = GraphSpec::parse(graph_spec)?.build();
+    let graph = parse_graph_spec(graph_spec)?;
     let proto = ProtoSpec::parse(proto_spec)?;
     let k = proto.k_for(&graph);
     let opts = coord_opts(args, &graph, k)?;
@@ -287,11 +217,11 @@ fn run(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    let result = Args::parse().and_then(|args| match args.role.as_str() {
+    let result = Args::parse(ROLES).and_then(|args| match args.role.as_str() {
         "worker" => worker(&args),
         "coord" => coord(&args),
         "run" => run(&args),
-        other => Err(format!("unknown role {other:?}: coord | worker | run")),
+        other => Err(format!("unknown role {other:?}: {ROLES}")),
     });
     match result {
         Ok(code) => code,

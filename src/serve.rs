@@ -124,15 +124,12 @@ pub fn spec_to_tokens(spec: &RunSpec) -> Result<String, String> {
         ExecSpec::ReliableAlpha { max_delay } => format!("alpha:{max_delay}"),
     };
     Ok(format!(
-        "algo={} k={} seed={} threads={} ff={} dense={} shard={} exec={} trace={} \
+        "algo={} k={} seed={} threads={} exec={} trace={} \
          fseed={} fdrop={:016x} fdup={:016x} fdelay={}",
         spec.algo.label(),
         spec.k,
         spec.seed,
         spec.threads,
-        u8::from(spec.fast_forward),
-        spec.dense_pct,
-        spec.shard_min,
         exec,
         u8::from(spec.trace),
         f.seed,
@@ -150,15 +147,10 @@ where
         .map_err(|e| format!("{key}={v:?} did not parse: {e}"))
 }
 
-/// Parses an engine setting and holds it to the bound `check` — the
-/// same check the matching `KDOM_*` knob goes through.
-fn parse_bounded(
-    key: &str,
-    v: &str,
-    check: fn(&usize) -> Result<(), String>,
-) -> Result<usize, String> {
+/// Parses the `threads=` token, held to [`EngineConfig::check_threads`].
+fn parse_threads(key: &str, v: &str) -> Result<usize, String> {
     let n = parse_num(key, v)?;
-    check(&n).map_err(|e| format!("{key}={v:?} is out of range: {e}"))?;
+    EngineConfig::check_threads(&n).map_err(|e| format!("{key}={v:?} is out of range: {e}"))?;
     Ok(n)
 }
 
@@ -173,9 +165,9 @@ fn parse_bool(key: &str, v: &str) -> Result<bool, String> {
 /// Parses the tokens produced by [`spec_to_tokens`] back into a
 /// [`RunSpec`]. Unknown keys are an error — a misspelled field must not
 /// silently fall back to a default and then get *cached* under the
-/// wrong content address. Values are held to the bounds the env knobs
-/// and the executors enforce, so a client cannot request what the
-/// library would refuse. A nonzero `fdrop`, `fdup` or `fdelay` needs
+/// wrong content address. Values are held to the bounds the library
+/// enforces, so a client cannot request what the library would refuse.
+/// A nonzero `fdrop`, `fdup` or `fdelay` needs
 /// `exec=alpha:D`: the sync executor runs fault-free.
 ///
 /// # Errors
@@ -196,10 +188,7 @@ pub fn spec_from_tokens<'a>(tokens: impl Iterator<Item = &'a str>) -> Result<Run
             "algo" => spec.algo = v.parse()?,
             "k" => spec.k = parse_num(key, v)?,
             "seed" => spec.seed = parse_num(key, v)?,
-            "threads" => spec.threads = parse_bounded(key, v, EngineConfig::check_threads)?,
-            "ff" => spec.fast_forward = parse_bool(key, v)?,
-            "dense" => spec.dense_pct = parse_bounded(key, v, EngineConfig::check_dense_pct)?,
-            "shard" => spec.shard_min = parse_bounded(key, v, EngineConfig::check_shard_min)?,
+            "threads" => spec.threads = parse_threads(key, v)?,
             "exec" => {
                 spec.exec = match v.split_once(':') {
                     None if v == "sync" => ExecSpec::Sync,
@@ -1040,18 +1029,14 @@ mod tests {
 
     #[test]
     fn spec_tokens_round_trip_bytes() {
-        let spec = RunSpec {
-            dense_pct: 0,
-            fast_forward: false,
-            ..RunSpec::default()
-                .with_algo(Algo::FastDomG)
-                .with_k(7)
-                .with_seed(42)
-                .with_threads(3)
-                .with_exec(ExecSpec::ReliableAlpha { max_delay: 9 })
-                .with_faults(FaultPlan::new(5).drop_prob(0.125))
-                .with_trace(true)
-        };
+        let spec = RunSpec::default()
+            .with_algo(Algo::FastDomG)
+            .with_k(7)
+            .with_seed(42)
+            .with_threads(3)
+            .with_exec(ExecSpec::ReliableAlpha { max_delay: 9 })
+            .with_faults(FaultPlan::new(5).drop_prob(0.125))
+            .with_trace(true);
         let tokens = spec_to_tokens(&spec).expect("encodable");
         let back = spec_from_tokens(tokens.split_whitespace()).expect("parse");
         assert_eq!(back, spec);
@@ -1075,9 +1060,21 @@ mod tests {
         let err = spec_from_tokens(["algo=bfs", "kay=3"].into_iter())
             .expect_err("typos must not silently default");
         assert!(err.contains("kay"), "{err}");
-        // every message crosses as its bit frame: there is no codec mode
-        let err = spec_from_tokens(["wire=1"].into_iter()).expect_err("no wire token");
-        assert!(err.contains("unknown spec token \"wire\""), "{err}");
+        // every message crosses as its bit frame (no codec mode), and the
+        // engine's schedule settings never change an output (no
+        // fast-forward, dense-scan or shard-size tokens)
+        for (token, key) in [
+            ("wire=1", "wire"),
+            ("ff=1", "ff"),
+            ("dense=75", "dense"),
+            ("shard=1024", "shard"),
+        ] {
+            let err = spec_from_tokens([token].into_iter()).expect_err("no such token");
+            assert!(
+                err.contains(&format!("unknown spec token {key:?}")),
+                "{token}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1088,8 +1085,6 @@ mod tests {
         let cases = [
             ("exec=sync", "threads=0".to_string(), "threads"),
             ("exec=sync", "threads=257".to_string(), "threads"),
-            ("exec=sync", "dense=301".to_string(), "dense"),
-            ("exec=sync", "shard=0".to_string(), "shard"),
             ("exec=sync", "exec=alpha:0".to_string(), "exec"),
             ("exec=alpha:2", format!("fdrop={one}"), "fdrop"),
             ("exec=alpha:2", format!("fdup={nan}"), "fdup"),
@@ -1107,12 +1102,9 @@ mod tests {
         assert!(err.contains("exec=alpha:D"), "{err}");
         spec_from_tokens(["exec=sync", "fseed=9"].into_iter())
             .expect("a fault seed alone is inert");
-        let spec = spec_from_tokens(["threads=256", "dense=300", "shard=1"].into_iter())
-            .expect("the bounds themselves are accepted");
-        assert_eq!(
-            (spec.threads, spec.dense_pct, spec.shard_min),
-            (256, 300, 1)
-        );
+        let spec =
+            spec_from_tokens(["threads=256"].into_iter()).expect("the bound itself is accepted");
+        assert_eq!(spec.threads, 256);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! (via Fast-MST), FastDOM_T/G, and Fast-MST.
 
 use kdom::congest::engine::run_reference_loop;
-use kdom::congest::jobs::{Algo, RunSpec};
 use kdom::congest::{
     run_protocol_alpha_reliable, EngineConfig, FaultPlan, Message, NodeCtx, Outbox, Port, Protocol,
     RunReport, Simulator, Wake,
@@ -28,8 +27,7 @@ use kdom::core::fastdom::WithinCluster;
 use kdom::graph::generators::{gnp_connected, path, Family, GenConfig};
 use kdom::graph::tree::RootedTree;
 use kdom::graph::{Graph, NodeId};
-use kdom::mst::fastmst::{default_k, fast_mst, fast_mst_from_root};
-use kdom::mst::service;
+use kdom::mst::fastmst::{default_k, fast_mst_from_root};
 
 /// Every engine configuration the suite must agree across: every node
 /// stepped every round vs the active set, 1 vs 4 threads, fast-forward on
@@ -613,45 +611,4 @@ fn composed_runners_parity() {
             }
         }
     }
-}
-
-/// Library runners take their engine configuration from the caller, so
-/// engine knobs in the environment change nothing — even values that
-/// [`EngineConfig::from_env`] rejects with a panic. This is the one test
-/// in the binary that writes the environment, and nothing else here reads
-/// these three knobs (the oracles read `KDOM_THREADS`, so it is left
-/// alone).
-#[test]
-fn library_runners_ignore_engine_knobs() {
-    const KNOBS: [(&str, &str); 3] = [
-        ("KDOM_DENSE_PCT", "bogus"),
-        ("KDOM_FASTFWD", "maybe"),
-        ("KDOM_SHARD_MIN", "0"),
-    ];
-    let g = gnp_connected(&GenConfig::with_seed(120, 21), 0.06);
-    let k = 3;
-    let run_all = || {
-        let mut out = vec![
-            format!("{:?}", fast_mst(&g)),
-            format!("{:?}", run_simple_mst(&g, k, &Executor::default())),
-            format!(
-                "{:?}",
-                fast_dom_g_distributed(&g, k, WithinCluster::OptimalDp, &Executor::default())
-            ),
-        ];
-        for algo in Algo::ALL {
-            let spec = RunSpec::default().with_algo(algo).with_k(k as u64);
-            out.push(format!("{:?}", service::run(&g, &spec)));
-        }
-        out
-    };
-    for (knob, value) in KNOBS {
-        std::env::set_var(knob, value);
-    }
-    let got = std::panic::catch_unwind(run_all);
-    for (knob, _) in KNOBS {
-        std::env::remove_var(knob);
-    }
-    let got = got.expect("a library runner read an engine knob");
-    assert_eq!(got, run_all(), "an engine knob changed a runner's output");
 }

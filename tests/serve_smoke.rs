@@ -3,7 +3,8 @@
 //! resubmit it, and assert the second pass was served from the cache
 //! and that cache-hit `WAIT`s come back without a delayed-ACK stall.
 //! Per-job JSONL traces land in `target/serve-smoke/` so a failing CI
-//! run has artifacts to upload.
+//! run has artifacts to upload. Also pins that `serve` refuses a
+//! `--jobs` count outside `1..=256` before it binds.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -124,4 +125,25 @@ fn sweep_twice_hits_the_cache_and_streams_traces() {
 
     client.shutdown().expect("graceful shutdown");
     drop(server); // reaps the child (already exiting)
+}
+
+#[test]
+fn out_of_range_jobs_flag_exits_1_naming_it() {
+    for jobs in ["0", "257"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_kdom-serve"))
+            .args(["serve", "--listen", "tcp:127.0.0.1:0", "--jobs", jobs])
+            .stdin(Stdio::null())
+            .output()
+            .expect("run kdom-serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--jobs {jobs}: {stderr}");
+        assert!(
+            stderr.contains(&format!("--jobs {jobs}")) && stderr.contains("1..=256"),
+            "--jobs {jobs}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "--jobs {jobs} must not start listening"
+        );
+    }
 }

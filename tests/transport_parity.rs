@@ -7,7 +7,8 @@
 //! decoded must end both runs in the same [`SimError::WireMismatch`].
 //! Killing a worker mid-run must surface as a typed
 //! [`SimError::PeerLost`] within the heartbeat deadline, and a worker
-//! whose graph disagrees must be rejected in the handshake.
+//! whose graph disagrees must be rejected in the handshake. A graph spec
+//! outside its node bounds must exit 1 naming the bound, not panic.
 
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -21,22 +22,15 @@ use kdom::congest::{
     RunReport, SimError, Simulator,
 };
 use kdom::core::dist::fragments::{schedule_end, FragmentNode};
-use kdom::graph::generators::Family;
 use kdom::graph::{Graph, NodeId};
 use kdom::mst::fastmst::default_k;
+use kdom::serve::parse_graph_spec;
 
 const GRAPH_SPEC: &str = "grid:2500:42";
 const SMALL_SPEC: &str = "grid:100:7";
 
 fn graph_of(spec: &str) -> Graph {
-    let mut parts = spec.split(':');
-    let family = match parts.next().unwrap() {
-        "grid" => Family::Grid,
-        other => panic!("unexpected family {other}"),
-    };
-    let n: usize = parts.next().unwrap().parse().unwrap();
-    let seed: u64 = parts.next().unwrap().parse().unwrap();
-    family.generate(n, seed)
+    parse_graph_spec(spec).expect("graph spec")
 }
 
 fn harvest(node: &FragmentNode) -> u64 {
@@ -127,7 +121,6 @@ fn distributed_run(
     let sink = MemorySink::new();
     let opts = CoordOpts {
         shards,
-        config: EngineConfig::default(),
         plan,
         max_rounds,
         timeout,
@@ -279,7 +272,6 @@ fn graph_fingerprint_mismatch_is_rejected_in_the_handshake() {
     ];
     let opts = CoordOpts {
         shards: 2,
-        config: EngineConfig::default(),
         plan: None,
         max_rounds: 10_000,
         timeout: Duration::from_secs(10),
@@ -366,7 +358,6 @@ fn undecodable_frame_is_the_same_wire_mismatch_on_a_fleet() {
     let ep = listener.local_endpoint().expect("local endpoint");
     let opts = CoordOpts {
         shards: 2,
-        config: EngineConfig::default(),
         plan: None,
         max_rounds: 10_000,
         timeout: Duration::from_secs(10),
@@ -406,4 +397,22 @@ fn undecodable_frame_is_the_same_wire_mismatch_on_a_fleet() {
         "in process: {want}"
     );
     assert_eq!(site(&got), site(&want), "on the fleet: {got}");
+}
+
+#[test]
+fn graph_spec_outside_its_node_bounds_exits_1_naming_it() {
+    for role in [
+        &["coord", "--listen", "tcp:127.0.0.1:0"][..],
+        &["run", "--shards", "1"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_kdom-shard"))
+            .args(role)
+            .args(["--graph", "path:0:1", "--proto", "simple-mst"])
+            .stdin(Stdio::null())
+            .output()
+            .expect("run kdom-shard");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{role:?}: {stderr}");
+        assert!(stderr.contains("N=0"), "{role:?}: {stderr}");
+    }
 }
